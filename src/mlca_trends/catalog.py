@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -115,6 +116,8 @@ class CardSpec:
             value = getattr(self, field_name)
             if value is None:
                 continue
+            if not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value}")
             if lower_ok and value < 0:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
             if not lower_ok and value <= 0:
@@ -390,7 +393,7 @@ def load_plausibility(path) -> dict[str, list[str]]:
     return {normalize_name(k): [normalize_name(s) for s in v] for k, v in data.items()}
 
 
-def _contains_tokens(name_tokens: list[str], query_tokens: list[str]) -> bool:
+def contains_tokens(name_tokens: list[str], query_tokens: list[str]) -> bool:
     span = len(query_tokens)
     return any(
         name_tokens[i : i + span] == query_tokens
@@ -416,7 +419,7 @@ def resolve_card_reference(query: str, catalog, plausibility=None) -> CardRefere
     candidates = [c for c in cards if c.normalized_name == nq]
     if not candidates:
         q_tokens = nq.split()
-        candidates = [c for c in cards if _contains_tokens(c.normalized_name.split(), q_tokens)]
+        candidates = [c for c in cards if contains_tokens(c.normalized_name.split(), q_tokens)]
     if not candidates:
         raise UnresolvedCardError(query)
 

@@ -10,14 +10,12 @@ the data files shipped with the package.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import serialize_card_table
 from .errors import (
     CatalogError,
     ConfigError,
@@ -28,14 +26,7 @@ from .errors import (
     StatsError,
     SystemsError,
 )
-from .pipeline import (
-    RunConfig,
-    load_bundle,
-    run_pipeline,
-    scenario_compare,
-    write_scenario_csv,
-)
-from .systems import coverage_summary, serialize_systems_table
+from .pipeline import Run, RunConfig, run_pipeline
 
 ENV_CONFIG = "MLCA_TRENDS_CONFIG"
 
@@ -52,6 +43,19 @@ _PATH_FLAGS = [
     ("--server-profiles", "server_profiles", "server layout rules JSON"),
     ("--column-map", "column_map", "systems column-mapping JSON"),
 ]
+
+# MLCA_TRENDS_CONFIG key -> (accepts the JSON value, what it must be)
+_PATH = (lambda v: isinstance(v, str), "a path string")
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_ENV_SCHEMA = {
+    **{dest: _PATH for _, dest, _ in _PATH_FLAGS},
+    "out": _PATH,
+    "apply_bridge": (lambda v: isinstance(v, bool) or v in ("true", "false"),
+                     'true, false, "true" or "false"'),
+    "scenario_ratio": _NUMBER,
+    "gwp_floor": _NUMBER,
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+}
 
 _STAGE_BY_ERROR = (
     (CatalogError, "catalog"),
@@ -90,16 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exclude systems below this footprint (kgCO2eq) in scenario series")
         p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
 
-    for name, help_text in [
-        ("ingest", "parse and merge card tables, normalize the systems table"),
-        ("coverage", "coverage statistics of the systems table"),
-        ("bridge", "fit the log-log bridge between the two GPU-hour estimators"),
-        ("estimate", "per-system GPU-hour estimates"),
-        ("impacts", "per-system life-cycle impacts and embodied shares"),
-        ("trends", "exponential trend fits and plot-ready series"),
-        ("scenario", "compare real vs reduced carbon-intensity footprints"),
-        ("report", "full pipeline: all outputs"),
-    ]:
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
         add_common(sub.add_parser(name, help=help_text))
     return parser
 
@@ -117,6 +112,15 @@ def _env_defaults() -> dict:
         raise ConfigError(f"{ENV_CONFIG} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{ENV_CONFIG} file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(_ENV_SCHEMA))
+    if unknown:
+        raise ConfigError(
+            f"{ENV_CONFIG} file {path} has unknown keys {unknown}; known: {sorted(_ENV_SCHEMA)}"
+        )
+    for key, value in data.items():
+        accepts, kind = _ENV_SCHEMA[key]
+        if not accepts(value):
+            raise ConfigError(f"{ENV_CONFIG} file {path}: {key!r} must be {kind}, got {value!r}")
     return data
 
 
@@ -129,9 +133,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             return value
         return env.get(name, fallback)
 
-    apply_bridge = pick("apply_bridge", "true")
-    if isinstance(apply_bridge, str):
-        apply_bridge = apply_bridge.lower() == "true"
     return RunConfig(
         out=Path(pick("out", "out")),
         cards=pick("cards"),
@@ -145,7 +146,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         plausibility=pick("plausibility"),
         server_profiles=pick("server_profiles"),
         column_map=pick("column_map"),
-        apply_bridge=bool(apply_bridge),
+        apply_bridge=pick("apply_bridge", True) in (True, "true"),
         scenario_ratio=pick("scenario_ratio"),
         gwp_floor=float(pick("gwp_floor", 50.0)),
         seed=int(pick("seed", 0)),
@@ -156,101 +157,54 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cmd_ingest(config: RunConfig) -> dict:
-    bundle = load_bundle(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    serialize_card_table(bundle.full_catalog, out / "catalog.csv")
-    serialize_systems_table(bundle.systems, out / "systems_normalized.csv")
-    (out / "merge_report.json").write_text(
-        json.dumps(
-            {
-                "total_cards": bundle.merge_report.total_cards,
-                "validated": bundle.merge_report.validated,
-                "divergent": [
-                    {
-                        "name": d.name,
-                        "field": d.field,
-                        "value_a": str(d.value_a),
-                        "value_b": str(d.value_b),
-                        "resolution": d.resolution,
-                    }
-                    for d in bundle.merge_report.divergent
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+def _ingest_summary(run: Run) -> dict:
+    bundle = run.bundle
     return {
         "cards_total": len(bundle.full_catalog),
         "cards_validated": bundle.merge_report.validated,
         "card_row_errors": [vars(e) for e in bundle.card_row_errors],
         "systems_total": len(bundle.systems),
         "system_row_errors": [vars(e) for e in bundle.system_row_errors],
-        "outputs": ["catalog.csv", "systems_normalized.csv", "merge_report.json"],
+        "outputs": run.output_files,
     }
 
 
-def _cmd_coverage(config: RunConfig) -> dict:
-    bundle = load_bundle(config)
-    summary = coverage_summary(bundle.systems)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = summary.csv_rows()
-    with (out / "coverage.csv").open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(rows)
-    (out / "coverage.json").write_text(
-        json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return {**summary.as_dict(), "outputs": ["coverage.csv", "coverage.json"]}
-
-
-def _cmd_scenario(config: RunConfig) -> dict:
-    ratio = config.scenario_ratio
-    if ratio is None:
-        raise ConfigError("scenario requires --scenario-ratio")
-    comparison = scenario_compare(config, ratio)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"scenario_{ratio:.12g}.csv"
-    write_scenario_csv(path, comparison)
+def _scenario_summary(run: Run) -> dict:
+    comparison = run.scenario
     return {
-        "ratio": ratio,
+        "ratio": comparison.ratio,
         "excluded_real": comparison.excluded_real,
         "excluded_scenario": comparison.excluded_scenario,
-        "growth_factor_real": None
-        if comparison.trend_real is None
-        else comparison.trend_real.growth_factor,
-        "growth_factor_scenario": None
-        if comparison.trend_scenario is None
-        else comparison.trend_scenario.growth_factor,
-        "outputs": [path.name],
+        "growth_factor_real": getattr(comparison.trend_real, "growth_factor", None),
+        "growth_factor_scenario": getattr(comparison.trend_scenario, "growth_factor", None),
+        "outputs": run.output_files,
     }
+
+
+# Subcommand -> (help, the outputs it writes (None: the report's), its stdout).
+# Writing an output computes only the stages that output needs.
+_SUBCOMMANDS = {
+    "ingest": ("parse and merge card tables, normalize the systems table",
+               {"catalog.csv", "systems_normalized.csv", "merge_report.json"}, _ingest_summary),
+    "coverage": ("coverage statistics of the systems table", {"coverage.csv", "coverage.json"},
+                 lambda run: {**run.coverage.as_dict(), "outputs": run.output_files}),
+    "bridge": ("fit the log-log bridge between the two GPU-hour estimators", {"bridge.json"},
+               Run.as_dict),
+    "estimate": ("per-system GPU-hour estimates", {"estimates.csv"}, Run.as_dict),
+    "impacts": ("per-system life-cycle impacts and embodied shares",
+                {"impacts.csv", "embodied_shares.csv"}, Run.as_dict),
+    "trends": ("exponential trend fits and plot-ready series", {"trends.csv"}, Run.as_dict),
+    "scenario": ("compare real vs reduced carbon-intensity footprints", {"scenario.csv"},
+                 _scenario_summary),
+    "report": ("full pipeline: all outputs", None, Run.as_dict),
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _, outputs, summarize = _SUBCOMMANDS[args.command]
     try:
-        config = _config_from_args(args)
-        if args.command == "ingest":
-            _print_json(_cmd_ingest(config))
-        elif args.command == "coverage":
-            _print_json(_cmd_coverage(config))
-        elif args.command == "scenario":
-            _print_json(_cmd_scenario(config))
-        else:
-            only = {
-                "bridge": {"bridge.json"},
-                "estimate": {"estimates.csv"},
-                "impacts": {"impacts.csv", "embodied_shares.csv"},
-                "trends": {"trends.csv"},
-                "report": None,
-            }[args.command]
-            summary = run_pipeline(config, only=only)
-            _print_json(summary.as_dict())
+        _print_json(summarize(run_pipeline(_config_from_args(args), only=outputs)))
     except MlcaTrendsError as exc:
         stage = "pipeline"
         for error_type, label in _STAGE_BY_ERROR:

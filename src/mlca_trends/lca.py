@@ -20,12 +20,12 @@ import csv
 import datetime as dt
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import CardReference, CardSpec, normalize_name
+from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
 from .intervals import EstimateInterval
 
@@ -136,16 +136,16 @@ class ServerProfileTable:
 
     default: ServerProfile
     rules: tuple[tuple[str, ServerProfile], ...] = ()
+    _rule_tokens: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # rule patterns are normalized once, here
+        tokens = tuple((normalize_name(p).split(), profile) for p, profile in self.rules)
+        object.__setattr__(self, "_rule_tokens", tokens)
 
     def select(self, card: CardSpec) -> ServerProfile:
         name_tokens = card.normalized_name.split()
-        for pattern, profile in self.rules:
-            tokens = normalize_name(pattern).split()
-            span = len(tokens)
-            if any(
-                name_tokens[i : i + span] == tokens
-                for i in range(len(name_tokens) - span + 1)
-            ):
+        for tokens, profile in self._rule_tokens:
+            if contains_tokens(name_tokens, tokens):
                 return profile
         return self.default
 

@@ -1,10 +1,12 @@
 """End-to-end pipeline: ingest -> merge -> eligibility -> bridge -> estimates
 -> impacts -> trends -> tables.
 
-Every stage is a plain function over the loaded bundle so subcommands can run
-individually; `run_pipeline` chains them and persists the canonical outputs
-(coverage.csv, bridge.json, estimates.csv, impacts.csv, trends.csv,
-embodied_shares.csv, plus scenario_<ratio>.csv when a scenario is requested).
+Every stage is a plain function over the loaded bundle. A `Run` computes
+each stage at most once, when an output first needs it; `run_pipeline` writes
+a set of named outputs through it (by default the report's coverage.csv,
+bridge.json, estimates.csv, impacts.csv, trends.csv and embodied_shares.csv,
+plus scenario_<ratio>.csv when a scenario is requested), so a stage
+subcommand computes only the stages behind its own files.
 Outputs are deterministic: identical inputs and config produce byte-identical
 files.
 """
@@ -16,8 +18,10 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.resources import files as _resource_files
 from pathlib import Path
 
@@ -32,9 +36,11 @@ from .catalog import (
     merge_catalogs,
     parse_card_table,
     resolve_card_reference,
+    serialize_card_table,
 )
 from .errors import (
     CannotEstimateError,
+    ConfigError,
     EstimationError,
     MissingPeakError,
     PipelineError,
@@ -60,11 +66,17 @@ from .lca import (
     system_impact,
 )
 from .stats import TrendFit, exp_trend, to_fractional_year
-from .systems import coverage_summary, eligible_systems, load_column_map, parse_systems_table
+from .systems import (
+    coverage_summary,
+    eligible_systems,
+    load_column_map,
+    parse_systems_table,
+    serialize_systems_table,
+)
 
 __all__ = [
+    "Run",
     "RunConfig",
-    "RunSummary",
     "ScenarioComparison",
     "default_data_path",
     "run_pipeline",
@@ -150,9 +162,13 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, Path(value))
+        if not (math.isfinite(self.gwp_floor) and self.gwp_floor >= 0):
+            raise PipelineError(f"gwp floor must be a finite number >= 0, got {self.gwp_floor}")
         if self.scenario_ratio is not None:
-            if self.scenario_ratio < 0:
-                raise PipelineError(f"scenario ratio must be >= 0, got {self.scenario_ratio}")
+            if not (math.isfinite(self.scenario_ratio) and self.scenario_ratio >= 0):
+                raise PipelineError(
+                    f"scenario ratio must be a finite number >= 0, got {self.scenario_ratio}"
+                )
             if self.scenario_ratio > 0.25:
                 warnings.warn(
                     f"scenario ratio {self.scenario_ratio} exceeds the explored range (0.25/year)",
@@ -184,20 +200,6 @@ class Bundle:
     constants: object
     server_profiles: object
     plausibility: dict
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    counts: dict[str, int]
-    output_files: list[str]
-    provenance: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "counts": self.counts,
-            "output_files": self.output_files,
-            "provenance": self.provenance,
-        }
 
 
 @dataclass(frozen=True)
@@ -246,15 +248,7 @@ def load_bundle(config: RunConfig) -> Bundle:
     )
 
 
-def _resolve(bundle: Bundle, system) -> CardReference | None:
-    if not system.hardware_names or len(set(system.hardware_names)) != 1:
-        return None
-    return resolve_card_reference(
-        system.hardware_names[0], bundle.full_catalog, bundle.plausibility
-    )
-
-
-def fit_bridge_stage(bundle: Bundle, eligible) -> tuple[BridgeModel | None, dict]:
+def fit_bridge_stage(eligible, card_refs) -> tuple[BridgeModel | None, dict]:
     """Pairs up both estimators where available, drops anomalies, fits.
 
     Returns (model or None when fewer than 3 clean pairs exist, counts)."""
@@ -262,12 +256,12 @@ def fit_bridge_stage(bundle: Bundle, eligible) -> tuple[BridgeModel | None, dict
     for system in eligible:
         if not (system.has_direct_inputs and system.has_flop_inputs):
             continue
+        card_ref = card_refs[system.hardware_names[0]]
+        if card_ref is None:
+            continue
         try:
-            card_ref = _resolve(bundle, system)
-            if card_ref is None:
-                continue
             h2 = gpu_hours_from_flop(system.training_flop, card_ref.reference).value
-        except (UnresolvedCardError, MissingPeakError):
+        except MissingPeakError:
             continue
         h1 = system.training_hours * system.hardware_quantity
         pairs.append((system, h1, h2))
@@ -279,20 +273,18 @@ def fit_bridge_stage(bundle: Bundle, eligible) -> tuple[BridgeModel | None, dict
     return model, counts
 
 
-def estimate_stage(bundle: Bundle, eligible, bridge, apply_bridge: bool):
+def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
     """GPU-hour estimates for every eligible system that the catalog can
     serve. Returns (rows, skipped) where rows are (system, card_ref, estimate)."""
     rows = []
     skipped = []
     for system in eligible:
-        try:
-            card_ref = _resolve(bundle, system)
-        except UnresolvedCardError as exc:
-            if system.has_direct_inputs:
-                card_ref = None  # direct estimate still possible without a card
-            else:
-                skipped.append((system.name, f"unresolved hardware: {exc.query}"))
-                continue
+        hardware = system.hardware_names[0] if system.hardware_names else None
+        card_ref = card_refs.get(hardware)
+        if hardware is not None and card_ref is None and not system.has_direct_inputs:
+            # a direct estimate stays possible without a card; nothing else does
+            skipped.append((system.name, f"unresolved hardware: {hardware}"))
+            continue
         try:
             estimate = estimate_gpu_hours(
                 system, card_ref, bridge, apply_bridge=apply_bridge and bridge is not None
@@ -332,46 +324,38 @@ def impact_stage(bundle: Bundle, estimate_rows, scenario_ratio=None):
     return impacts, skipped
 
 
+def _chronological(points):
+    """(date, value) pairs of (date, value, name) triples, by date then name."""
+    return [(d, v) for d, v, _ in sorted(points, key=lambda p: (p[0], p[2]))]
+
+
 def trend_stage(bundle: Bundle, impacts):
     """All plot-ready series with their fits: card characteristics, card
     production impacts, per-system footprints, hardware quantities."""
-    series = []
-
-    for field_name in ("die_area", "process_node", "memory_size", "tdp"):
-        points = characteristic_series(bundle.workstation_cards, field_name)
-        series.append((f"card_{field_name}", points, _CARD_TREND_WEIGHTING))
-
+    cards = bundle.workstation_cards
+    series = [
+        (f"card_{name}", characteristic_series(cards, name), _CARD_TREND_WEIGHTING)
+        for name in ("die_area", "process_node", "memory_size", "tdp")
+    ]
+    production = []
+    for card in cards:
+        try:
+            production.append((card, production_impact(card, bundle.factors)))
+        except CannotEstimateError:
+            continue
     for metric in ("gwp_kg", "adpe_kgsb"):
-        points = []
-        for card in bundle.workstation_cards:
-            try:
-                impact = production_impact(card, bundle.factors)
-            except CannotEstimateError:
-                continue
-            points.append((card.release_date, getattr(impact, metric), card.name))
-        points.sort(key=lambda p: (p[0], p[2]))
-        series.append(
-            (f"card_production_{metric}", [(d, v) for d, v, _ in points], _CARD_TREND_WEIGHTING)
-        )
-
+        points = [(c.release_date, getattr(impact, metric), c.name) for c, impact in production]
+        series.append((f"card_production_{metric}", _chronological(points), _CARD_TREND_WEIGHTING))
     for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
-        points = [
-            (r.publication_date, getattr(r, metric).reference, r.system_name) for r in impacts
-        ]
-        points.sort(key=lambda p: (p[0], p[2]))
-        series.append(
-            (f"system_{metric}", [(d, v) for d, v, _ in points], _SYSTEM_TREND_WEIGHTING)
-        )
-
-    quantity_points = [
+        points = [(r.publication_date, getattr(r, metric).reference, r.system_name)
+                  for r in impacts]
+        series.append((f"system_{metric}", _chronological(points), _SYSTEM_TREND_WEIGHTING))
+    quantities = [
         (s.publication_date, float(s.hardware_quantity), s.name)
         for s in bundle.systems
         if s.hardware_quantity is not None
     ]
-    quantity_points.sort(key=lambda p: (p[0], p[2]))
-    series.append(
-        ("hardware_quantity", [(d, v) for d, v, _ in quantity_points], _SYSTEM_TREND_WEIGHTING)
-    )
+    series.append(("hardware_quantity", _chronological(quantities), _SYSTEM_TREND_WEIGHTING))
 
     fitted = []
     for name, points, weighting in series:
@@ -383,7 +367,17 @@ def trend_stage(bundle: Bundle, impacts):
     return fitted
 
 
-def _scenario_points(impacts_real, impacts_scenario, gwp_floor):
+def _scenario_from_rows(bundle, estimate_rows, impacts_real, ratio,
+                        gwp_floor) -> ScenarioComparison:
+    """Real vs carbon-intensity-reduction footprints for post-2019 systems.
+
+    Only the reduced-intensity impacts are computed here; the real series
+    is the run's impacts. Both series drop systems whose carbon footprint
+    falls below the floor; exclusion counts are reported per series.
+    """
+    if not any(r.publication_date.year >= 2019 for r in impacts_real):
+        raise PipelineError("no post-2019 systems; scenario comparison is empty")
+    impacts_scenario, _ = impact_stage(bundle, estimate_rows, scenario_ratio=ratio)
     points = []
     excluded = {"real": 0, "scenario": 0}
     fits = {}
@@ -403,36 +397,8 @@ def _scenario_points(impacts_real, impacts_scenario, gwp_floor):
             fits[series] = exp_trend(kept, weighting=_SYSTEM_TREND_WEIGHTING)
         except StatsError:
             fits[series] = None
-    return points, excluded, fits
-
-
-def scenario_compare(config: RunConfig, ratio: float) -> ScenarioComparison:
-    """Real vs carbon-intensity-reduction footprints for post-2019 systems.
-
-    Both series drop systems whose carbon footprint falls below the
-    configured floor; exclusion counts are reported per series.
-    """
-    bundle = load_bundle(config)
-    eligible, _ = eligible_systems(bundle.systems)
-    bridge, _ = fit_bridge_stage(bundle, eligible)
-    estimate_rows, _ = estimate_stage(bundle, eligible, bridge, config.apply_bridge)
-    return _scenario_from_rows(bundle, estimate_rows, ratio, config.gwp_floor)
-
-
-def _scenario_from_rows(bundle, estimate_rows, ratio, gwp_floor) -> ScenarioComparison:
-    impacts_real, _ = impact_stage(bundle, estimate_rows, scenario_ratio=None)
-    impacts_scenario, _ = impact_stage(bundle, estimate_rows, scenario_ratio=ratio)
-    post_2019 = [r for r in impacts_real if r.publication_date.year >= 2019]
-    if not post_2019:
-        raise PipelineError("no post-2019 systems; scenario comparison is empty")
-    points, excluded, fits = _scenario_points(impacts_real, impacts_scenario, gwp_floor)
     return ScenarioComparison(
-        ratio=ratio,
-        points=points,
-        excluded_real=excluded["real"],
-        excluded_scenario=excluded["scenario"],
-        trend_real=fits["real"],
-        trend_scenario=fits["scenario"],
+        ratio, points, excluded["real"], excluded["scenario"], fits["real"], fits["scenario"]
     )
 
 
@@ -454,6 +420,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _trend_cells(fit: TrendFit | None):
     if fit is None:
         return ["", "", "", "", "", "", "", ""]
@@ -467,7 +437,7 @@ def write_scenario_csv(path: Path, comparison: ScenarioComparison) -> None:
     rows = []
     for series, system_name, date, value, included in comparison.points:
         rows.append(
-            [series, "point", system_name, date, round(_year(date), 6), value,
+            [series, "point", system_name, date, round(to_fractional_year(date), 6), value,
              "true" if included else "false", "", "", "", "", "", "", "", ""]
         )
     for series, fit, n_excl in (
@@ -479,58 +449,147 @@ def write_scenario_csv(path: Path, comparison: ScenarioComparison) -> None:
     _write_csv(path, OUTPUT_SCHEMAS["scenario.csv"], rows)
 
 
-def _year(date: dt.date) -> float:
-    return to_fractional_year(date)
+class Run:
+    """One pipeline run over a config. Each stage is a cached property:
+    computed on first use, at most once, so writing an output computes only
+    the stages that output reads."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.output_files: list[str] = []
+
+    @cached_property
+    def bundle(self) -> Bundle:
+        return load_bundle(self.config)
+
+    @cached_property
+    def coverage(self):
+        return coverage_summary(self.bundle.systems)
+
+    @cached_property
+    def eligibility(self):
+        """(eligible systems, [(excluded system, reason)])."""
+        return eligible_systems(self.bundle.systems)
+
+    @cached_property
+    def card_refs(self) -> dict[str, CardReference | None]:
+        """One resolution per distinct hardware string of the eligible
+        systems (each names one at most); None where no card matches."""
+        refs = {}
+        for system in self.eligibility[0]:
+            if system.hardware_names and system.hardware_names[0] not in refs:
+                name = system.hardware_names[0]
+                try:
+                    refs[name] = resolve_card_reference(
+                        name, self.bundle.full_catalog, self.bundle.plausibility
+                    )
+                except UnresolvedCardError:
+                    refs[name] = None
+        return refs
+
+    @cached_property
+    def bridge(self) -> tuple[BridgeModel | None, dict]:
+        return fit_bridge_stage(self.eligibility[0], self.card_refs)
+
+    @cached_property
+    def estimates(self):
+        """(rows of (system, card_ref, estimate), skipped)."""
+        return estimate_stage(
+            self.eligibility[0], self.card_refs, self.bridge[0], self.config.apply_bridge
+        )
+
+    @cached_property
+    def impacts(self):
+        """(impacts under the real electricity mixes, skipped)."""
+        return impact_stage(self.bundle, self.estimates[0])
+
+    @cached_property
+    def trends(self):
+        return trend_stage(self.bundle, self.impacts[0])
+
+    @cached_property
+    def shares(self):
+        return embodied_share_table([(r.embodied_ref, r.total_ref) for r in self.impacts[0]])
+
+    @cached_property
+    def scenario(self) -> ScenarioComparison:
+        return _scenario_from_rows(
+            self.bundle, self.estimates[0], self.impacts[0],
+            self.config.scenario_ratio, self.config.gwp_floor,
+        )
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Counts of the stages this run computed."""
+        ran = vars(self)
+        counts = {}
+        if "bundle" in ran:
+            b = self.bundle
+            counts.update(
+                cards_workstation=len(b.workstation_cards), cards_total=len(b.full_catalog),
+                cards_validated=b.merge_report.validated, card_row_errors=len(b.card_row_errors),
+                systems_total=len(b.systems), system_row_errors=len(b.system_row_errors),
+            )
+        if "eligibility" in ran:
+            reasons = [reason for _, reason in self.eligibility[1]]
+            counts.update(
+                systems_eligible=len(self.eligibility[0]),
+                excluded_multi_hardware=reasons.count("multi-hardware"),
+                excluded_insufficient_data=reasons.count("insufficient-data"),
+            )
+        if "bridge" in ran:  # pairs, clean, anomalous
+            counts.update({f"bridge_{k}": v for k, v in self.bridge[1].items()})
+        if "estimates" in ran:
+            counts.update(estimates=len(self.estimates[0]), estimate_skips=len(self.estimates[1]))
+        if "impacts" in ran:
+            counts.update(impacts=len(self.impacts[0]), impact_skips=len(self.impacts[1]))
+        if "shares" in ran:
+            counts.update(share_rows_excluded=self.shares[1])
+        return counts
+
+    @property
+    def provenance(self) -> dict:
+        ran = vars(self)
+        config = self.config
+        return {
+            "package_version": __version__,
+            "config_sha256": config.sha256(),
+            "apply_bridge": config.apply_bridge,
+            "bridge_applied": (config.apply_bridge and self.bridge[0] is not None)
+            if "bridge" in ran
+            else None,
+            "bridge_log_base": "natural",
+            "system_trend_weighting": _SYSTEM_TREND_WEIGHTING,
+            "card_trend_weighting": _CARD_TREND_WEIGHTING,
+            "scenario_ratio": config.scenario_ratio if "scenario" in ran else None,
+            "gwp_floor": config.gwp_floor,
+            "seed": config.seed,
+            "cpu_embodied_allocation": "cpus_per_server/gpus_per_server per card",
+        }
+
+    def as_dict(self) -> dict:
+        return {
+            "counts": self.counts,
+            "output_files": self.output_files,
+            "provenance": self.provenance,
+        }
 
 
-def run_pipeline(config: RunConfig, only: set[str] | None = None) -> RunSummary:
-    """Execute the pipeline and persist canonical outputs under config.out.
+def _merge_report_payload(report: MergeReport) -> dict:
+    return {
+        "total_cards": report.total_cards,
+        "validated": report.validated,
+        "divergent": [
+            {**vars(d), "value_a": str(d.value_a), "value_b": str(d.value_b)}
+            for d in report.divergent
+        ],
+    }
 
-    `only` restricts which output files are written (stage subcommands);
-    None writes them all. Returns the run summary with counts and
-    provenance."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    def wanted(name: str) -> bool:
-        return only is None or name in only
-
-    bundle = load_bundle(config)
-    coverage = coverage_summary(bundle.systems)
-    eligible, excluded = eligible_systems(bundle.systems)
-    bridge, bridge_counts = fit_bridge_stage(bundle, eligible)
-    estimate_rows, estimate_skips = estimate_stage(
-        bundle, eligible, bridge, config.apply_bridge
-    )
-    impacts, impact_skips = impact_stage(bundle, estimate_rows)
-    trends = trend_stage(bundle, impacts)
-    shares, share_excluded = embodied_share_table(
-        [(r.embodied_ref, r.total_ref) for r in impacts]
-    )
-
-    output_files = []
-
-    if wanted("coverage.csv"):
-        coverage_path = out / "coverage.csv"
-        rows = coverage.csv_rows()
-        _write_csv(coverage_path, rows[0], rows[1:])
-        output_files.append(coverage_path.name)
-
-    bridge_payload = {
-        "model": None
-        if bridge is None
-        else {
-            "intercept": bridge.intercept,
-            "slope": bridge.slope,
-            "intercept_se": bridge.intercept_se,
-            "slope_se": bridge.slope_se,
-            "adj_r2": bridge.adj_r2,
-            "f_statistic": bridge.f_statistic,
-            "f_df": list(bridge.f_df),
-            "f_pvalue": bridge.f_pvalue,
-            "n_observations": bridge.n_observations,
-            "performance_ratio": bridge.performance_ratio,
-            "log_base": "natural",
+def _bridge_payload(bridge: BridgeModel | None, counts: dict) -> dict:
+    return {
+        "model": None if bridge is None else {
+            **{k: v for k, v in vars(bridge).items() if k != "diagnostics"}, "log_base": "natural"
         },
         "diagnostics": None
         if bridge is None or bridge.diagnostics is None
@@ -539,112 +598,88 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> RunSummary:
             "breusch_pagan_studentized": list(bridge.diagnostics.breusch_pagan),
             "durbin_watson": list(bridge.diagnostics.durbin_watson),
         },
-        "counts": bridge_counts,
+        "counts": counts,
         "anomaly_rule": "finetuned OR |log-ratio - median| > 3*MAD",
     }
-    if wanted("bridge.json"):
-        bridge_path = out / "bridge.json"
-        bridge_path.write_text(
-            json.dumps(bridge_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        output_files.append(bridge_path.name)
 
-    if wanted("estimates.csv"):
-        estimates_path = out / "estimates.csv"
-        _write_csv(
-            estimates_path,
-            OUTPUT_SCHEMAS["estimates.csv"],
-            [
-                [system.name, estimate.method, estimate.interval.min,
-                 estimate.interval.reference, estimate.interval.max]
-                for system, _, estimate in estimate_rows
-            ],
-        )
-        output_files.append(estimates_path.name)
 
-    if wanted("impacts.csv"):
-        impacts_path = out / "impacts.csv"
-        _write_csv(
-            impacts_path,
-            OUTPUT_SCHEMAS["impacts.csv"],
-            [
-                [r.system_name, r.publication_date,
-                 r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
-                 r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
-                 r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
-                 r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb,
-                 r.method, r.scenario_ratio]
-                for r in impacts
-            ],
-        )
-        output_files.append(impacts_path.name)
+def _trend_rows(trends):
+    for name, points, fit, weighting in trends:
+        for date, value in points:
+            yield [name, "point", "", date, round(to_fractional_year(date), 6), value,
+                   "", "", "", "", "", "", "", ""]
+        if fit is not None:
+            yield [name, "trend", "", "", "", "", *_trend_cells(fit)]
 
-    if wanted("trends.csv"):
-        trends_path = out / "trends.csv"
-        trend_rows = []
-        for name, points, fit, weighting in trends:
-            for date, value in points:
-                trend_rows.append(
-                    [name, "point", "", date, round(_year(date), 6), value,
-                     "", "", "", "", "", "", "", ""]
-                )
-            if fit is not None:
-                trend_rows.append([name, "trend", "", "", "", "", *_trend_cells(fit)])
-        _write_csv(trends_path, OUTPUT_SCHEMAS["trends.csv"], trend_rows)
-        output_files.append(trends_path.name)
 
-    if wanted("embodied_shares.csv"):
-        shares_path = out / "embodied_shares.csv"
-        _write_csv(
-            shares_path,
-            OUTPUT_SCHEMAS["embodied_shares.csv"],
-            [
-                [s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n, s.excluded]
-                for s in shares
-            ],
-        )
-        output_files.append(shares_path.name)
+# Output name -> writer(run, path). A writer reads only the stages its file
+# shows, so writing it computes those stages and no others.
+WRITERS = {
+    "catalog.csv": lambda run, path: serialize_card_table(run.bundle.full_catalog, path),
+    "systems_normalized.csv": lambda run, path: serialize_systems_table(run.bundle.systems, path),
+    "merge_report.json": lambda run, path: _write_json(
+        path, _merge_report_payload(run.bundle.merge_report)
+    ),
+    "coverage.csv": lambda run, path: _write_csv(
+        path, OUTPUT_SCHEMAS["coverage.csv"], run.coverage.csv_rows()[1:]
+    ),
+    "coverage.json": lambda run, path: _write_json(path, run.coverage.as_dict()),
+    "bridge.json": lambda run, path: _write_json(path, _bridge_payload(*run.bridge)),
+    "estimates.csv": lambda run, path: _write_csv(path, OUTPUT_SCHEMAS["estimates.csv"], (
+        [system.name, est.method, est.interval.min, est.interval.reference, est.interval.max]
+        for system, _, est in run.estimates[0]
+    )),
+    "impacts.csv": lambda run, path: _write_csv(path, OUTPUT_SCHEMAS["impacts.csv"], (
+        [r.system_name, r.publication_date,
+         r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
+         r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
+         r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
+         r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method, r.scenario_ratio]
+        for r in run.impacts[0]
+    )),
+    "trends.csv": lambda run, path: _write_csv(
+        path, OUTPUT_SCHEMAS["trends.csv"], _trend_rows(run.trends)
+    ),
+    "embodied_shares.csv": lambda run, path: _write_csv(
+        path, OUTPUT_SCHEMAS["embodied_shares.csv"],
+        ([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n, s.excluded]
+         for s in run.shares[0]),
+    ),
+    "scenario.csv": lambda run, path: write_scenario_csv(path, run.scenario),
+}
+REPORT_OUTPUTS = (
+    "coverage.csv", "bridge.json", "estimates.csv", "impacts.csv", "trends.csv",
+    "embodied_shares.csv",
+)
 
-    scenario_used = None
-    if config.scenario_ratio is not None and wanted("scenario"):
-        comparison = _scenario_from_rows(
-            bundle, estimate_rows, config.scenario_ratio, config.gwp_floor
-        )
-        scenario_path = out / f"scenario_{_fmt(config.scenario_ratio)}.csv"
-        write_scenario_csv(scenario_path, comparison)
-        output_files.append(scenario_path.name)
-        scenario_used = config.scenario_ratio
 
-    counts = {
-        "cards_workstation": len(bundle.workstation_cards),
-        "cards_total": len(bundle.full_catalog),
-        "cards_validated": bundle.merge_report.validated,
-        "card_row_errors": len(bundle.card_row_errors),
-        "systems_total": len(bundle.systems),
-        "system_row_errors": len(bundle.system_row_errors),
-        "systems_eligible": len(eligible),
-        "excluded_multi_hardware": sum(1 for _, r in excluded if r == "multi-hardware"),
-        "excluded_insufficient_data": sum(1 for _, r in excluded if r == "insufficient-data"),
-        "bridge_pairs": bridge_counts["pairs"],
-        "bridge_clean": bridge_counts["clean"],
-        "bridge_anomalous": bridge_counts["anomalous"],
-        "estimates": len(estimate_rows),
-        "estimate_skips": len(estimate_skips),
-        "impacts": len(impacts),
-        "impact_skips": len(impact_skips),
-        "share_rows_excluded": share_excluded,
-    }
-    provenance = {
-        "package_version": __version__,
-        "config_sha256": config.sha256(),
-        "apply_bridge": config.apply_bridge,
-        "bridge_applied": config.apply_bridge and bridge is not None,
-        "bridge_log_base": "natural",
-        "system_trend_weighting": _SYSTEM_TREND_WEIGHTING,
-        "card_trend_weighting": _CARD_TREND_WEIGHTING,
-        "scenario_ratio": scenario_used,
-        "gwp_floor": config.gwp_floor,
-        "seed": config.seed,
-        "cpu_embodied_allocation": "cpus_per_server/gpus_per_server per card",
-    }
-    return RunSummary(counts=counts, output_files=output_files, provenance=provenance)
+def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
+    """Write the outputs named in `only` (default: the report outputs, plus
+    scenario.csv when a ratio is set) under config.out, in WRITERS order.
+
+    scenario.csv is written as scenario_<ratio>.csv. Returns the run, which
+    holds the computed stages, the written file names, counts and
+    provenance."""
+    if only is None:
+        only = {*REPORT_OUTPUTS, *(["scenario.csv"] if config.scenario_ratio is not None else [])}
+    unknown = sorted(set(only) - set(WRITERS))
+    if unknown:
+        raise PipelineError(f"unknown outputs {unknown}; expected some of {list(WRITERS)}")
+    if "scenario.csv" in only and config.scenario_ratio is None:
+        raise ConfigError("scenario requires --scenario-ratio")
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    run = Run(config)
+    for name in WRITERS:
+        if name in only:
+            path = out / (
+                f"scenario_{_fmt(config.scenario_ratio)}.csv" if name == "scenario.csv" else name
+            )
+            WRITERS[name](run, path)
+            run.output_files.append(path.name)
+    return run
+
+
+def scenario_compare(config: RunConfig, ratio: float) -> ScenarioComparison:
+    """Real vs carbon-intensity-reduction footprints for post-2019 systems."""
+    return Run(dataclasses.replace(config, scenario_ratio=ratio)).scenario

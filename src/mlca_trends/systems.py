@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +67,10 @@ class SystemRecord:
     def __post_init__(self):
         if not self.name:
             raise ValueError("system name must be non-empty")
+        for field_name in ("training_flop", "hardware_quantity", "training_hours"):
+            value = getattr(self, field_name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field_name} must be finite, got {value}")
         if self.training_flop is not None and self.training_flop <= 0:
             raise ValueError(f"training_flop must be > 0, got {self.training_flop}")
         if self.hardware_quantity is not None and self.hardware_quantity < 1:
@@ -177,7 +182,7 @@ def _parse_row(row: dict[str, str]) -> SystemRecord:
 
     quantity = number("hardware_quantity")
     if quantity is not None:
-        if quantity != int(quantity):
+        if not math.isfinite(quantity) or quantity != int(quantity):
             raise ValueError(f"hardware_quantity must be a whole count, got {quantity}")
         quantity = int(quantity)
 

@@ -207,3 +207,176 @@ class TestCliCommands:
         code = main(["report"])
         assert code == 1
         assert "error [config]" in capsys.readouterr().err
+
+
+SYSTEMS_HEADER = (
+    "name,publication_date,training_flop,hardware_names,hardware_quantity,"
+    "training_hours,countries,confidence,finetuned\n"
+)
+
+
+@pytest.fixture(scope="module")
+def scenario_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report") / "out"
+    assert main(["report", "--out", str(out), "--scenario-ratio", "0.25"]) == 0
+    return out
+
+
+class TestStageSubcommands:
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            ("bridge", ["bridge.json"]),
+            ("estimate", ["estimates.csv"]),
+            ("impacts", ["impacts.csv", "embodied_shares.csv"]),
+            ("trends", ["trends.csv"]),
+            ("scenario", ["scenario_0.25.csv"]),
+            ("coverage", ["coverage.csv", "coverage.json"]),
+        ],
+    )
+    def test_files_equal_the_reports(self, tmp_path, capsys, scenario_report, command, files):
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--scenario-ratio", "0.25"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        for name in files:
+            if name != "coverage.json":  # the report does not write it
+                assert (out / name).read_bytes() == (scenario_report / name).read_bytes()
+
+    def test_bridge_and_estimate_skip_impacts_and_trends(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("stage not needed by this subcommand")
+
+        monkeypatch.setattr("mlca_trends.pipeline.impact_stage", must_not_run)
+        monkeypatch.setattr("mlca_trends.pipeline.trend_stage", must_not_run)
+        capsys.readouterr()
+        assert main(["bridge", "--out", str(tmp_path / "bridge")]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert "bridge_pairs" in counts and "estimates" not in counts
+        assert main(["estimate", "--out", str(tmp_path / "estimate")]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert "estimates" in counts and "impacts" not in counts
+
+    def test_scenario_report_runs_two_impact_passes(self, tmp_path, monkeypatch, capsys):
+        import mlca_trends.pipeline as pipeline
+
+        ratios = []
+        original = pipeline.impact_stage
+
+        def counted(bundle, estimate_rows, scenario_ratio=None):
+            ratios.append(scenario_ratio)
+            return original(bundle, estimate_rows, scenario_ratio=scenario_ratio)
+
+        monkeypatch.setattr(pipeline, "impact_stage", counted)
+        assert main(["report", "--out", str(tmp_path / "out"), "--scenario-ratio", "0.1"]) == 0
+        assert ratios == [None, 0.1]
+
+    def test_each_hardware_string_resolved_once(self, tmp_path, monkeypatch, capsys):
+        import mlca_trends.pipeline as pipeline
+
+        systems = tmp_path / "systems.csv"
+        systems.write_text(
+            SYSTEMS_HEADER
+            + "".join(
+                f"S{i},2021-0{i + 1}-01,1e21,{hardware},8,{100 + 50 * i},USA,unknown,false\n"
+                for i, hardware in enumerate(
+                    ["A100", "V100", "A100", "Custom ASIC 9000", "A100", "Custom ASIC 9000"]
+                )
+            ),
+            encoding="utf-8",
+        )
+        queries = []
+        original = pipeline.resolve_card_reference
+
+        def counted(query, *args, **kwargs):
+            queries.append(query)
+            return original(query, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "resolve_card_reference", counted)
+        assert main(["report", "--systems", str(systems), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(queries) == ["A100", "Custom ASIC 9000", "V100"]
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["estimates"] == 6  # the unresolved ones keep their direct estimate
+
+
+class TestInputBoundary:
+    def test_non_finite_cells_are_row_errors(self, tmp_path, capsys):
+        systems = tmp_path / "systems.csv"
+        systems.write_text(
+            default_data_path("systems_sample.csv").read_text(encoding="utf-8")
+            + "NanFlop,2021-01-01,nan,A100,8,100,USA,unknown,false\n"
+            + "InfHours,2021-01-01,1e21,A100,8,inf,USA,unknown,false\n"
+            + "InfQuantity,2021-01-01,1e21,A100,inf,100,USA,unknown,false\n",
+            encoding="utf-8",
+        )
+        cards = tmp_path / "cards.csv"
+        cards.write_text(
+            default_data_path("cards_nvidia_workstation.csv").read_text(encoding="utf-8")
+            + "Nan Die,NVIDIA,2020-01-01,nan,7,16,HBM2,250,,1e13,,\n",
+            encoding="utf-8",
+        )
+        code = main(
+            ["report", "--systems", str(systems), "--cards", str(cards),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["system_row_errors"] == 3
+        assert counts["card_row_errors"] == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario-ratio", "nan"],
+            ["--scenario-ratio", "inf"],
+            ["--scenario-ratio", "0.1", "--gwp-floor", "-5"],
+            ["--scenario-ratio", "0.1", "--gwp-floor", "nan"],
+        ],
+    )
+    def test_bad_scenario_flags_fail_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["report", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [pipeline]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [
+            {"sytems": "systems.csv"},
+            {"scenario_ratio": "0.1"},
+            {"scenario_ratio": True},
+            {"gwp_floor": "50"},
+            {"seed": 1.5},
+            {"seed": False},
+            {"apply_bridge": "yes"},
+            {"apply_bridge": 1},
+            {"cards": 5},
+            {"out": None},
+        ],
+    )
+    def test_env_config_rejects_unknown_keys_and_wrong_types(
+        self, tmp_path, monkeypatch, capsys, bundle
+    ):
+        env_file = tmp_path / "config.json"
+        env_file.write_text(json.dumps(bundle), encoding="utf-8")
+        monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+        assert main(["report", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [config]")
+        assert list(bundle)[0] in err[0]
+
+    def test_env_config_typed_values_accepted(self, tmp_path, monkeypatch, capsys):
+        env_file = tmp_path / "config.json"
+        env_file.write_text(
+            json.dumps({"apply_bridge": False, "scenario_ratio": 0.25, "gwp_floor": 10,
+                        "seed": 3, "out": str(tmp_path / "env_out")}),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+        assert main(["report"]) == 0
+        provenance = json.loads(capsys.readouterr().out)["provenance"]
+        assert provenance["apply_bridge"] is False
+        assert (provenance["scenario_ratio"], provenance["gwp_floor"], provenance["seed"]) == (
+            0.25, 10.0, 3
+        )
+        assert (tmp_path / "env_out" / "scenario_0.25.csv").is_file()
