@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CatalogError, UnresolvedCardError
+from .inputs import parse_date, parse_number, read_csv, read_json
 
 __all__ = [
     "CARD_COLUMNS",
@@ -51,6 +52,8 @@ CARD_COLUMNS = [
     "peak_fp16",
     "peak_tensor",
 ]
+
+_NUMBER_COLUMNS = [col for col in CARD_COLUMNS[3:] if col != "memory_type"]
 
 CARD_SOURCES = ("techpowerup", "wiki", "datasheet", "other")
 
@@ -123,7 +126,7 @@ class CardSpec:
             if not lower_ok and value <= 0:
                 raise ValueError(f"{field_name} must be > 0, got {value}")
 
-    @property
+    @cached_property  # frozen without __slots__, so the instance dict holds it
     def normalized_name(self) -> str:
         return normalize_name(self.name)
 
@@ -184,69 +187,32 @@ def normalize_name(name: str) -> str:
     return " ".join(tokens)
 
 
-def _parse_float(cell: str, column: str):
-    cell = cell.strip()
-    if not cell:
-        return None
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"column {column!r}: cannot parse number from {cell!r}") from None
-
-
-def _parse_date(cell: str, column: str) -> dt.date:
-    cell = cell.strip()
-    try:
-        return dt.date.fromisoformat(cell)
-    except ValueError:
-        raise ValueError(f"column {column!r}: cannot parse ISO date from {cell!r}") from None
-
-
 def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]:
     """Read a card table CSV. Returns (cards, row_errors).
 
-    Raises CatalogError for a missing file or a header that does not match
-    CARD_COLUMNS. Rows whose mandatory fields cannot be parsed become
-    RowError entries instead of cards; they are never silently dropped.
+    Raises CatalogError for a missing or unreadable file or a header that
+    does not match CARD_COLUMNS. Rows whose mandatory fields cannot be parsed
+    become RowError entries instead of cards; they are never silently dropped.
     """
     if source not in CARD_SOURCES:
         raise CatalogError(f"unknown source {source!r}; expected one of {CARD_SOURCES}")
-    path = Path(path)
-    if not path.is_file():
-        raise CatalogError(f"card table not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        if set(header) != set(CARD_COLUMNS):
-            missing = sorted(set(CARD_COLUMNS) - set(header))
-            extra = sorted(set(header) - set(CARD_COLUMNS))
-            raise CatalogError(
-                f"unknown card-table schema in {path}: missing columns {missing}, "
-                f"unexpected columns {extra}"
-            )
-        cards: list[CardSpec] = []
-        errors: list[RowError] = []
-        for row in reader:
-            try:
-                cards.append(
-                    CardSpec(
-                        name=row["name"].strip(),
-                        vendor=row["vendor"].strip(),
-                        release_date=_parse_date(row["release_date"], "release_date"),
-                        die_area_mm2=_parse_float(row["die_area_mm2"], "die_area_mm2"),
-                        process_node_nm=_parse_float(row["process_node_nm"], "process_node_nm"),
-                        memory_gb=_parse_float(row["memory_gb"], "memory_gb"),
-                        memory_type=row["memory_type"].strip() or None,
-                        tdp_w=_parse_float(row["tdp_w"], "tdp_w"),
-                        peak_fp64=_parse_float(row["peak_fp64"], "peak_fp64"),
-                        peak_fp32=_parse_float(row["peak_fp32"], "peak_fp32"),
-                        peak_fp16=_parse_float(row["peak_fp16"], "peak_fp16"),
-                        peak_tensor=_parse_float(row["peak_tensor"], "peak_tensor"),
-                        source=source,
-                    )
+    _, rows = read_csv(path, CatalogError, "card table", CARD_COLUMNS)
+    cards: list[CardSpec] = []
+    errors: list[RowError] = []
+    for line, row in rows:
+        try:
+            cards.append(
+                CardSpec(
+                    name=row["name"].strip(),
+                    vendor=row["vendor"].strip(),
+                    release_date=parse_date(row["release_date"], "release_date"),
+                    memory_type=row["memory_type"].strip() or None,
+                    source=source,
+                    **{col: parse_number(row[col], col) for col in _NUMBER_COLUMNS},
                 )
-            except ValueError as exc:
-                errors.append(RowError(line=reader.line_num, message=str(exc)))
+            )
+        except ValueError as exc:
+            errors.append(RowError(line=line, message=str(exc)))
     return cards, errors
 
 
@@ -293,21 +259,19 @@ def _fields_equal(field: str, left, right) -> bool:
 
 def load_overrides(path) -> dict[tuple[str, str], object]:
     """Datasheet override CSV `name,field,value` -> {(normalized name, field): value}."""
-    path = Path(path)
-    if not path.is_file():
-        raise CatalogError(f"override table not found: {path}")
     overrides: dict[tuple[str, str], object] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if set(reader.fieldnames or []) != {"name", "field", "value"}:
-            raise CatalogError(f"override table {path} must have header name,field,value")
-        for row in reader:
-            field = _FIELD_ALIASES.get(row["field"].strip())
+    _, rows = read_csv(path, CatalogError, "override table", ("name", "field", "value"))
+    for line, row in rows:
+        field = _FIELD_ALIASES.get(row["field"].strip())
+        try:
             if field is None:
-                raise CatalogError(f"override table: unknown field {row['field']!r}")
+                raise ValueError(f"unknown field {row['field']!r}")
             raw = row["value"]
-            value = _parse_date(raw, field) if field == "release_date" else _parse_float(raw, field)
-            overrides[(normalize_name(row["name"]), field)] = value
+            value = (parse_date(raw, field) if field == "release_date"
+                     else parse_number(raw, field, required=True))
+        except ValueError as exc:
+            raise CatalogError(f"override table {path}, line {line}: {exc}") from None
+        overrides[(normalize_name(row["name"]), field)] = value
     return overrides
 
 
@@ -382,13 +346,8 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
 
 def load_plausibility(path) -> dict[str, list[str]]:
     """Plausibility config JSON: query name -> ordered candidate names."""
-    path = Path(path)
-    if not path.is_file():
-        raise CatalogError(f"plausibility config not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or not all(
-        isinstance(v, list) and all(isinstance(s, str) for s in v) for v in data.values()
-    ):
+    data = read_json(path, CatalogError, "plausibility config")
+    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in data.values()):
         raise CatalogError(f"plausibility config {path} must map names to lists of names")
     return {normalize_name(k): [normalize_name(s) for s in v] for k, v in data.items()}
 

@@ -26,6 +26,7 @@ from .errors import (
     StatsError,
     SystemsError,
 )
+from .inputs import read_json
 from .pipeline import Run, RunConfig, run_pipeline
 
 ENV_CONFIG = "MLCA_TRENDS_CONFIG"
@@ -100,18 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _env_defaults() -> dict:
-    bundle_path = os.environ.get(ENV_CONFIG)
-    if not bundle_path:
+    path = os.environ.get(ENV_CONFIG)
+    if not path:
         return {}
-    path = Path(bundle_path)
-    if not path.is_file():
-        raise ConfigError(f"{ENV_CONFIG} points to a missing file: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{ENV_CONFIG} file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{ENV_CONFIG} file {path} must hold a JSON object")
+    data = read_json(path, ConfigError, f"{ENV_CONFIG} file")
     unknown = sorted(set(data) - set(_ENV_SCHEMA))
     if unknown:
         raise ConfigError(

@@ -16,17 +16,16 @@ n being the whole years since 2019 at system release.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
+import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
+from .inputs import parse_count, parse_number, read_csv, read_json
 from .intervals import EstimateInterval
 
 __all__ = [
@@ -69,8 +68,10 @@ class ImpactVector:
 
     def __post_init__(self):
         for component in self.COMPONENTS:
-            if getattr(self, component) < 0:
-                raise ValueError(f"{component} must be >= 0, got {getattr(self, component)}")
+            if not 0 <= getattr(self, component) < math.inf:  # also false for nan
+                raise ValueError(
+                    f"{component} must be finite and >= 0, got {getattr(self, component)}"
+                )
 
     def __add__(self, other: "ImpactVector") -> "ImpactVector":
         return ImpactVector(
@@ -115,10 +116,10 @@ class ServerProfile:
     cpu_tdp_w: float
 
     def __post_init__(self):
-        if self.gpus_per_server < 1 or self.cpus_per_server < 1:
-            raise ValueError("server must hold at least one GPU and one CPU")
-        if self.cpu_tdp_w <= 0:
-            raise ValueError(f"cpu_tdp_w must be > 0, got {self.cpu_tdp_w}")
+        if not (1 <= self.gpus_per_server < math.inf and 1 <= self.cpus_per_server < math.inf):
+            raise ValueError("server must hold a finite count of at least one GPU and one CPU")
+        if not 0 < self.cpu_tdp_w < math.inf:
+            raise ValueError(f"cpu_tdp_w must be finite and > 0, got {self.cpu_tdp_w}")
 
     @property
     def cpus_per_gpu(self) -> float:
@@ -157,8 +158,9 @@ class ElectricityMix:
     adpe_kgsb_per_kwh: float
 
     def __post_init__(self):
-        if self.carbon_intensity_g_per_kwh < 0 or self.adpe_kgsb_per_kwh < 0:
-            raise ValueError("mix intensities must be >= 0")
+        if not (0 <= self.carbon_intensity_g_per_kwh < math.inf
+                and 0 <= self.adpe_kgsb_per_kwh < math.inf):
+            raise ValueError("mix intensities must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -172,10 +174,10 @@ class LcaConstants:
     training_usage: float = 1.0
 
     def __post_init__(self):
-        if self.pue < 1:
-            raise ValueError(f"pue must be >= 1, got {self.pue}")
-        if self.lifespan_hours <= 0:
-            raise ValueError(f"lifespan_hours must be > 0, got {self.lifespan_hours}")
+        if not 1 <= self.pue < math.inf:
+            raise ValueError(f"pue must be finite and >= 1, got {self.pue}")
+        if not 0 < self.lifespan_hours < math.inf:
+            raise ValueError(f"lifespan_hours must be finite and > 0, got {self.lifespan_hours}")
         for name in ("avg_lifetime_utilization", "training_usage"):
             value = getattr(self, name)
             if not 0 < value <= 1:
@@ -216,103 +218,89 @@ class ShareSummary:
     excluded: int
 
 
-def _vector_from_json(entry: dict, where: str) -> ImpactVector:
-    try:
-        return ImpactVector(
-            energy_kwh=float(entry.get("energy_kwh", 0.0)),
-            gwp_kg=float(entry["gwp_kg"]),
-            adpe_kgsb=float(entry["adpe_kgsb"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LcaError(f"bad impact entry {where}: {exc}") from exc
+_FACTOR_ENTRIES = ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production")
 
 
 def load_impact_factors(path) -> ImpactFactors:
-    path = Path(path)
-    if not path.is_file():
-        raise LcaError(f"impact-factor config not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path, LcaError, "impact-factor config")
     entries = {}
-    sources = {}
-    for key in ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production"):
-        if key not in data:
-            raise LcaError(f"impact-factor config {path} lacks entry {key!r}")
-        entries[key] = _vector_from_json(data[key], key)
-        sources[key] = str(data[key].get("source", "unspecified"))
+    for key in _FACTOR_ENTRIES:
+        entry = data.get(key)
+        if not isinstance(entry, dict):
+            raise LcaError(f"impact-factor config {path}: entry {key!r} must be a JSON object")
+        try:
+            entries[key] = ImpactVector(
+                energy_kwh=parse_number(entry.get("energy_kwh", 0.0), "energy_kwh", required=True),
+                gwp_kg=parse_number(entry.get("gwp_kg"), "gwp_kg", required=True),
+                adpe_kgsb=parse_number(entry.get("adpe_kgsb"), "adpe_kgsb", required=True),
+            )
+        except ValueError as exc:
+            raise LcaError(f"impact-factor config {path}, entry {key!r}: {exc}") from None
     return ImpactFactors(
-        logic_per_cm2=entries["logic_per_cm2"],
-        memory_per_gb=entries["memory_per_gb"],
-        board_base=entries["board_base"],
-        cpu_production=entries["cpu_production"],
+        **entries,
         version=str(data.get("version", "unversioned")),
-        sources=sources,
+        sources={key: str(data[key].get("source", "unspecified")) for key in _FACTOR_ENTRIES},
     )
 
 
 def load_constants(path) -> LcaConstants:
-    path = Path(path)
-    if not path.is_file():
-        raise LcaError(f"constants config not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path, LcaError, "constants config")
     kwargs = {}
-    for name in ("pue", "lifespan_hours", "avg_lifetime_utilization", "training_usage"):
-        if name in data:
-            entry = data[name]
-            kwargs[name] = float(entry["value"] if isinstance(entry, dict) else entry)
     try:
+        for name in ("pue", "lifespan_hours", "avg_lifetime_utilization", "training_usage"):
+            if name in data:
+                entry = data[name]
+                value = entry.get("value") if isinstance(entry, dict) else entry
+                kwargs[name] = parse_number(value, name, required=True)
         return LcaConstants(**kwargs)
     except ValueError as exc:
-        raise LcaError(f"bad constants config {path}: {exc}") from exc
+        raise LcaError(f"bad constants config {path}: {exc}") from None
+
+
+_MIX_COLUMNS = ("country", "carbon_intensity_g_per_kwh", "adpe_kgsb_per_kwh")
 
 
 def load_mix_table(path) -> dict[str, ElectricityMix]:
     """CSV `country,carbon_intensity_g_per_kwh,adpe_kgsb_per_kwh`, keyed by
     upper-cased country code; the world average uses code WLD."""
-    path = Path(path)
-    if not path.is_file():
-        raise LcaError(f"electricity mix table not found: {path}")
     mixes: dict[str, ElectricityMix] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        expected = {"country", "carbon_intensity_g_per_kwh", "adpe_kgsb_per_kwh"}
-        if set(reader.fieldnames or []) != expected:
-            raise LcaError(f"mix table {path} must have header {sorted(expected)}")
-        for row in reader:
-            code = row["country"].strip().upper()
-            try:
-                mixes[code] = ElectricityMix(
-                    country=code,
-                    carbon_intensity_g_per_kwh=float(row["carbon_intensity_g_per_kwh"]),
-                    adpe_kgsb_per_kwh=float(row["adpe_kgsb_per_kwh"]),
-                )
-            except ValueError as exc:
-                raise LcaError(f"mix table {path}, country {code!r}: {exc}") from exc
+    _, rows = read_csv(path, LcaError, "electricity mix table", _MIX_COLUMNS)
+    for line, row in rows:
+        code = row["country"].strip().upper()
+        try:
+            mixes[code] = ElectricityMix(
+                code, *(parse_number(row[col], col, required=True) for col in _MIX_COLUMNS[1:])
+            )
+        except ValueError as exc:
+            raise LcaError(f"mix table {path}, line {line}, country {code!r}: {exc}") from None
     return mixes
 
 
 def load_server_profiles(path) -> ServerProfileTable:
-    path = Path(path)
-    if not path.is_file():
-        raise LcaError(f"server-profile config not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path, LcaError, "server-profile config")
 
-    def profile(entry: dict, where: str) -> ServerProfile:
+    def profile(entry, where: str) -> ServerProfile:
+        where = f"server-profile config {path}: {where}"
+        if not isinstance(entry, dict):
+            raise LcaError(f"{where} must be a JSON object")
         try:
             return ServerProfile(
-                gpus_per_server=int(entry["gpus_per_server"]),
-                cpus_per_server=int(entry["cpus_per_server"]),
-                cpu_tdp_w=float(entry["cpu_tdp_w"]),
+                *(parse_count(entry.get(key), key, required=True)
+                  for key in ("gpus_per_server", "cpus_per_server")),
+                cpu_tdp_w=parse_number(entry.get("cpu_tdp_w"), "cpu_tdp_w", required=True),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LcaError(f"bad server profile {where}: {exc}") from exc
+        except ValueError as exc:
+            raise LcaError(f"{where}: {exc}") from None
 
-    if "default" not in data:
-        raise LcaError(f"server-profile config {path} lacks a default profile")
-    rules = tuple(
-        (str(rule["match"]), profile(rule, f"rule {rule.get('match')!r}"))
-        for rule in data.get("rules", [])
+    rules = data.get("rules", [])
+    if not isinstance(rules, list) or not all(
+        isinstance(rule, dict) and isinstance(rule.get("match"), str) for rule in rules
+    ):
+        raise LcaError(f"server-profile config {path}: each rule needs a \"match\" string")
+    return ServerProfileTable(
+        default=profile(data.get("default"), "default"),
+        rules=tuple((rule["match"], profile(rule, f"rule {rule['match']!r}")) for rule in rules),
     )
-    return ServerProfileTable(default=profile(data["default"], "default"), rules=rules)
 
 
 def production_impact(card: CardSpec, factors: ImpactFactors) -> ImpactVector:

@@ -19,7 +19,6 @@ import datetime as dt
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files as _resource_files
@@ -41,6 +40,7 @@ from .catalog import (
 from .errors import (
     CannotEstimateError,
     ConfigError,
+    DegenerateDataError,
     EstimationError,
     MissingPeakError,
     PipelineError,
@@ -169,11 +169,6 @@ class RunConfig:
                 raise PipelineError(
                     f"scenario ratio must be a finite number >= 0, got {self.scenario_ratio}"
                 )
-            if self.scenario_ratio > 0.25:
-                warnings.warn(
-                    f"scenario ratio {self.scenario_ratio} exceeds the explored range (0.25/year)",
-                    stacklevel=2,
-                )
 
     def sha256(self) -> str:
         payload = {
@@ -251,7 +246,8 @@ def load_bundle(config: RunConfig) -> Bundle:
 def fit_bridge_stage(eligible, card_refs) -> tuple[BridgeModel | None, dict]:
     """Pairs up both estimators where available, drops anomalies, fits.
 
-    Returns (model or None when fewer than 3 clean pairs exist, counts)."""
+    Returns (model, counts); the model is None when fewer than 3 clean pairs
+    exist or their FLOP-based hours do not vary."""
     pairs = []
     for system in eligible:
         if not (system.has_direct_inputs and system.has_flop_inputs):
@@ -269,8 +265,10 @@ def fit_bridge_stage(eligible, card_refs) -> tuple[BridgeModel | None, dict]:
     counts = {"pairs": len(pairs), "clean": len(clean), "anomalous": len(anomalous)}
     if len(clean) < 3:
         return None, counts
-    model = fit_bridge([(h1, h2) for _, h1, h2 in clean])
-    return model, counts
+    try:
+        return fit_bridge([(h1, h2) for _, h1, h2 in clean]), counts
+    except DegenerateDataError:
+        return None, counts
 
 
 def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
@@ -668,7 +666,10 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
     if "scenario.csv" in only and config.scenario_ratio is None:
         raise ConfigError("scenario requires --scenario-ratio")
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say, a file already holds that path
+        raise PipelineError(f"cannot create output directory {out}: {exc}") from None
     run = Run(config)
     for name in WRITERS:
         if name in only:

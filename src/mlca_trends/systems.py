@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import RowError
 from .errors import SystemsError
+from .inputs import parse_count, parse_date, parse_number, read_csv, read_json
 
 __all__ = [
     "SYSTEM_COLUMNS",
@@ -151,14 +151,13 @@ class CoverageSummary:
 
 def load_column_map(path) -> dict[str, str]:
     """Column-mapping config JSON: upstream column name -> canonical field."""
-    path = Path(path)
-    if not path.is_file():
-        raise SystemsError(f"column-map config not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path, SystemsError, "column-map config")
+    if not all(isinstance(v, str) for v in data.values()):
+        raise SystemsError(f"column-map config {path} must map column names to field names")
     unknown = sorted(set(data.values()) - set(SYSTEM_COLUMNS))
     if unknown:
-        raise SystemsError(f"column map targets unknown fields: {unknown}")
-    return dict(data)
+        raise SystemsError(f"column map {path} targets unknown fields: {unknown}")
+    return data
 
 
 def _split_multi(cell: str) -> tuple[str, ...] | None:
@@ -169,29 +168,10 @@ def _split_multi(cell: str) -> tuple[str, ...] | None:
 
 def _parse_row(row: dict[str, str]) -> SystemRecord:
     def get(name: str) -> str:
-        return (row.get(name) or "").strip()
+        return row.get(name, "").strip()
 
-    def number(name: str) -> float | None:
-        cell = get(name)
-        if not cell:
-            return None
-        try:
-            return float(cell)
-        except ValueError:
-            raise ValueError(f"column {name!r}: cannot parse number from {cell!r}") from None
-
-    quantity = number("hardware_quantity")
-    if quantity is not None:
-        if not math.isfinite(quantity) or quantity != int(quantity):
-            raise ValueError(f"hardware_quantity must be a whole count, got {quantity}")
-        quantity = int(quantity)
-
-    raw_date = get("publication_date")
-    try:
-        pub_date = dt.date.fromisoformat(raw_date)
-    except ValueError:
-        raise ValueError(f"column 'publication_date': cannot parse ISO date from {raw_date!r}") from None
-
+    quantity = parse_count(row.get("hardware_quantity"), "hardware_quantity")
+    pub_date = parse_date(row.get("publication_date", ""), "publication_date")
     confidence = get("confidence").lower() or "unknown"
     finetuned_cell = get("finetuned").lower()
     if finetuned_cell in _TRUE_WORDS:
@@ -204,10 +184,10 @@ def _parse_row(row: dict[str, str]) -> SystemRecord:
     return SystemRecord(
         name=get("name"),
         publication_date=pub_date,
-        training_flop=number("training_flop"),
+        training_flop=parse_number(row.get("training_flop"), "training_flop"),
         hardware_names=_split_multi(get("hardware_names")),
         hardware_quantity=quantity,
-        training_hours=number("training_hours"),
+        training_hours=parse_number(row.get("training_hours"), "training_hours"),
         countries=_split_multi(get("countries")),
         confidence=confidence,
         finetuned=finetuned,
@@ -218,32 +198,22 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
     """Read a systems CSV, optionally remapping upstream column names.
 
     Returns records in file order plus row-level errors for malformed rows.
-    Raises SystemsError for a missing file or when the name/publication_date
-    columns cannot be found after mapping.
+    Raises SystemsError for a missing or unreadable file or when the
+    name/publication_date columns cannot be found after mapping.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise SystemsError(f"systems table not found: {path}")
     column_map = column_map or {}
+    header, rows = read_csv(path, SystemsError, "systems table")
+    mapped = {column_map.get(col, col): col for col in header}
+    for required in ("name", "publication_date"):
+        if required not in mapped:
+            raise SystemsError(f"systems table {path} lacks a column mapping to {required!r}")
     records: list[SystemRecord] = []
     errors: list[RowError] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        mapped = {column_map.get(col, col): col for col in header}
-        for required in ("name", "publication_date"):
-            if required not in mapped:
-                raise SystemsError(
-                    f"systems table {path} lacks a column mapping to {required!r}"
-                )
-        for row in reader:
-            canonical = {
-                canon: row.get(upstream, "") for canon, upstream in mapped.items()
-            }
-            try:
-                records.append(_parse_row(canonical))
-            except ValueError as exc:
-                errors.append(RowError(line=reader.line_num, message=str(exc)))
+    for line, row in rows:
+        try:
+            records.append(_parse_row({canon: row[col] for canon, col in mapped.items()}))
+        except ValueError as exc:
+            errors.append(RowError(line=line, message=str(exc)))
     return records, errors
 
 

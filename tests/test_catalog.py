@@ -256,6 +256,21 @@ class TestResolve:
         ref = resolve_card_reference("T4", a100_catalog)
         assert ref.reference.name == "Tesla T4"
 
+    def test_each_card_name_normalized_once(self, a100_catalog, monkeypatch):
+        import mlca_trends.catalog as catalog
+
+        calls = []
+        original = catalog.normalize_name
+
+        def counted(name):
+            calls.append(name)
+            return original(name)
+
+        monkeypatch.setattr(catalog, "normalize_name", counted)
+        for query in ("A100", "T4", "NVIDIA A100 SXM4 80 GB", "A100", "SXM4"):
+            resolve_card_reference(query, a100_catalog)
+        assert all(calls.count(card.name) == 1 for card in a100_catalog)
+
 
 class TestCharacteristicSeries:
     def test_projection_in_date_order(self):

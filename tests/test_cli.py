@@ -165,6 +165,23 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "out" / "bridge.json").read_text())
         assert payload["model"] is None and payload["counts"]["pairs"] == 0
 
+    def test_bridge_without_spread_falls_back_to_raw_flop(self, tmp_path):
+        # four clean pairs with equal hours leave the bridge nothing to fit
+        systems = tmp_path / "systems.csv"
+        systems.write_text(
+            SYSTEMS_HEADER
+            + "".join(f"Same{i},2021-01-01,1e21,A100,8,100,USA,unknown,false\n" for i in range(4))
+            + "OnlyFlop,2022-01-01,2e22,A100,,,USA,unknown,false\n",
+            encoding="utf-8",
+        )
+        summary = run_pipeline(RunConfig(out=tmp_path / "out", systems=systems))
+        assert summary.provenance["bridge_applied"] is False
+        payload = json.loads((tmp_path / "out" / "bridge.json").read_text())
+        assert payload["model"] is None and payload["counts"]["clean"] == 4
+        with (tmp_path / "out" / "estimates.csv").open(newline="") as handle:
+            methods = {row["system"]: row["method"] for row in csv.DictReader(handle)}
+        assert methods["OnlyFlop"] == "flop_based"
+
     def test_estimate_command_writes_only_estimates(self, tmp_path):
         code = main(["estimate", "--out", str(tmp_path / "out")])
         assert code == 0
@@ -298,6 +315,74 @@ class TestStageSubcommands:
         assert counts["estimates"] == 6  # the unresolved ones keep their direct estimate
 
 
+def _bundled(name: str) -> bytes:
+    return default_data_path(name).read_bytes()
+
+
+_NOT_UTF8 = b"\xff\xfe\n"
+_WIKI = ["--cards-alt", str(default_data_path("cards_wiki.csv"))]
+_FACTORS = json.loads(_bundled("impact_factors.json"))
+
+# (stage, flag naming the file, its bytes, further flags); the flag None
+# names the file in MLCA_TRENDS_CONFIG instead
+_MALFORMED_INPUTS = {
+    "plausibility-json": ("catalog", "--plausibility", b"{", []),
+    "column-map-json": ("systems", "--column-map", b"{", []),
+    "factors-json": ("lca", "--factors", b"{", []),
+    "constants-json": ("lca", "--constants", b"{", []),
+    "server-profiles-json": ("lca", "--server-profiles", b"{", []),
+    "plausibility-json-too-deep": ("catalog", "--plausibility", b"[" * 100_000, []),
+    **{
+        f"{flag[2:]}-not-utf8": (stage, flag, _bundled(name) + _NOT_UTF8, extra)
+        for stage, flag, name, extra in [
+            ("catalog", "--cards", "cards_nvidia_workstation.csv", []),
+            ("catalog", "--cards-alt", "cards_wiki.csv", []),
+            ("catalog", "--cards-extra", "cards_other.csv", []),
+            ("catalog", "--overrides", "overrides.csv", _WIKI),
+            ("systems", "--systems", "systems_sample.csv", []),
+            ("lca", "--mixes", "electricity_mixes.csv", []),
+            ("catalog", "--plausibility", "plausibility.json", []),
+            ("systems", "--column-map", "plausibility.json", []),
+            ("lca", "--factors", "impact_factors.json", []),
+            ("lca", "--constants", "lca_constants.json", []),
+            ("lca", "--server-profiles", "server_profiles.json", []),
+        ]
+    },
+    "env-config-not-utf8": ("config", None, b'{"seed": 1}' + _NOT_UTF8, []),
+    "systems-huge-cell": (
+        "systems", "--systems", (SYSTEMS_HEADER + "Big," + "x" * 200_000 + "\n").encode(), []
+    ),
+    "constants-entry-without-value": ("lca", "--constants", b'{"pue": {"v": 1}}', []),
+    "constants-not-a-number": ("lca", "--constants", b'{"pue": "abc"}', []),
+    "constants-nan": ("lca", "--constants", b'{"pue": NaN}', []),
+    "server-rule-without-match": (
+        "lca", "--server-profiles",
+        b'{"default": {"gpus_per_server": 4, "cpus_per_server": 2, "cpu_tdp_w": 150},'
+        b' "rules": [{"gpus_per_server": 2, "cpus_per_server": 2, "cpu_tdp_w": 150}]}',
+        [],
+    ),
+    "column-map-list": ("systems", "--column-map", b'["name"]', []),
+    "column-map-list-value": ("systems", "--column-map", b'{"Model": ["name"]}', []),
+    "factor-entry-list": (
+        "lca", "--factors", json.dumps({**_FACTORS, "board_base": [80.0]}).encode(), []
+    ),
+    "factors-nan": (
+        "lca", "--factors",
+        json.dumps({**_FACTORS, "board_base": {**_FACTORS["board_base"], "gwp_kg": math.nan}})
+        .encode(),
+        [],
+    ),
+    "override-not-a-number": ("catalog", "--overrides", b"name,field,value\nTesla K40,tdp,abc\n",
+                              _WIKI),
+    "override-short-row": ("catalog", "--overrides", b"name,field,value\nTesla K40,tdp\n", _WIKI),
+    "mix-short-row": ("lca", "--mixes", _bundled("electricity_mixes.csv") + b"XX,300\n", []),
+    "mix-nan": ("lca", "--mixes", _bundled("electricity_mixes.csv") + b"XX,nan,1e-8\n", []),
+    "mix-wrong-header": ("lca", "--mixes", b"country,ci,adpe\n", []),
+    "cards-wrong-header": ("catalog", "--cards", b"name,tdp\n", []),
+    "systems-wrong-header": ("systems", "--systems", b"Model,whatever\n", []),
+}
+
+
 class TestInputBoundary:
     def test_non_finite_cells_are_row_errors(self, tmp_path, capsys):
         systems = tmp_path / "systems.csv"
@@ -380,3 +465,38 @@ class TestInputBoundary:
             0.25, 10.0, 3
         )
         assert (tmp_path / "env_out" / "scenario_0.25.csv").is_file()
+
+    @pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+    def test_ends_in_one_stage_error_naming_the_file(self, tmp_path, monkeypatch, capsys, case):
+        stage, flag, content, extra = _MALFORMED_INPUTS[case]
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        if flag is None:
+            monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(path))
+        else:
+            extra = [*extra, flag, str(path)]
+        assert main(["report", "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error [{stage}]") and str(path) in err[0]
+        assert list(out.glob("*")) == []
+
+    def test_short_table_rows_are_row_errors(self, tmp_path, capsys):
+        systems = tmp_path / "systems.csv"
+        systems.write_bytes(_bundled("systems_sample.csv") + b"Short System\n")
+        cards = tmp_path / "cards.csv"
+        cards.write_bytes(_bundled("cards_nvidia_workstation.csv") + b"Short Card,NVIDIA\n")
+        code = main(
+            ["report", "--systems", str(systems), "--cards", str(cards),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert (counts["system_row_errors"], counts["card_row_errors"]) == (1, 1)
+
+    def test_out_naming_a_file_is_a_pipeline_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory", encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [pipeline]") and str(out) in err[0]

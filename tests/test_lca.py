@@ -52,6 +52,25 @@ class TestImpactVector:
             ImpactVector(1.0, 1.0, 1.0).scale(-2.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: ImpactVector(1.0, v, 1.0),
+        lambda v: ElectricityMix("XX", v, 1e-8),
+        lambda v: ElectricityMix("XX", 300.0, v),
+        lambda v: LcaConstants(pue=v),
+        lambda v: LcaConstants(lifespan_hours=v),
+        lambda v: ServerProfile(gpus_per_server=v, cpus_per_server=2, cpu_tdp_w=150.0),
+        lambda v: ServerProfile(gpus_per_server=4, cpus_per_server=v, cpu_tdp_w=150.0),
+        lambda v: ServerProfile(gpus_per_server=4, cpus_per_server=2, cpu_tdp_w=v),
+    ],
+)
+def test_records_reject_non_finite_values(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
 class TestProductionImpact:
     def test_single_term_arithmetic(self):
         factors = ImpactFactors(
