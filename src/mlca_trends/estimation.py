@@ -11,14 +11,15 @@ implied constant performance ratio (achieved / peak throughput).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .catalog import CardReference, CardSpec
 from .errors import DegenerateDataError, EstimationError, MissingPeakError
 from .intervals import EstimateInterval
-from .stats import DiagnosticReport, diagnostics, wls_fit
+from .stats import DiagnosticReport, RegressionResult, diagnostics, wls_fit
 
 __all__ = [
     "PEAK_FIELDS",
@@ -61,7 +62,8 @@ class GpuHoursEstimate:
 
 @dataclass(frozen=True)
 class BridgeModel:
-    """OLS of log(direct GPU-h) on log(compute-based GPU-h), natural logs."""
+    """OLS of log(direct GPU-h) on log(compute-based GPU-h), natural logs.
+    The F-test p-value and the diagnostics are computed from `fit` when read."""
 
     intercept: float
     slope: float
@@ -70,10 +72,23 @@ class BridgeModel:
     adj_r2: float
     f_statistic: float
     f_df: tuple[int, int]
-    f_pvalue: float
     n_observations: int
     performance_ratio: float  # exp(-intercept); ~fraction of peak achieved
-    diagnostics: DiagnosticReport | None = None
+    fit: RegressionResult = field(repr=False, compare=False)
+    log_flop_hours: np.ndarray = field(repr=False, compare=False)  # the fit's x
+
+    @property
+    def f_pvalue(self) -> float:
+        return self.fit.f_pvalue
+
+    @cached_property
+    def diagnostics(self) -> DiagnosticReport | None:
+        """Residual diagnostics; None when the residuals carry too little
+        variation to test (a numerically perfect fit)."""
+        try:
+            return diagnostics(self.log_flop_hours, self.fit.residuals)
+        except DegenerateDataError:
+            return None
 
     def apply(self, flop_hours: float) -> float:
         """Calibrated GPU-hours: exp(a) * h^b."""
@@ -158,9 +173,7 @@ def detect_anomalies(pairs, k: float = 3.0):
 def fit_bridge(clean_pairs) -> BridgeModel:
     """OLS of log(h_direct) on log(h_flop) over anomaly-free pairs.
 
-    Natural logarithms throughout. Residual diagnostics are attached when the
-    residuals carry enough variation to test; a numerically perfect fit
-    leaves them as None.
+    Natural logarithms throughout.
     """
     pairs = list(clean_pairs)
     if len(pairs) < 3:
@@ -170,10 +183,6 @@ def fit_bridge(clean_pairs) -> BridgeModel:
     x = np.log([h2 for _, h2 in pairs])
     y = np.log([h1 for h1, _ in pairs])
     fit = wls_fit(x, y)
-    try:
-        diag = diagnostics(x, fit.residuals)
-    except DegenerateDataError:
-        diag = None
     return BridgeModel(
         intercept=fit.intercept,
         slope=fit.slope,
@@ -182,10 +191,10 @@ def fit_bridge(clean_pairs) -> BridgeModel:
         adj_r2=fit.adj_r2,
         f_statistic=fit.f_statistic,
         f_df=fit.f_df,
-        f_pvalue=fit.f_pvalue,
         n_observations=fit.n,
         performance_ratio=math.exp(-fit.intercept),
-        diagnostics=diag,
+        fit=fit,
+        log_flop_hours=x,
     )
 
 

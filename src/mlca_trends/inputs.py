@@ -56,17 +56,20 @@ def _csv_rows(path: Path, error, what, columns):
 
 def parse_number(value, column: str, required: bool = False) -> float | None:
     """A number from a CSV cell or a JSON value. A blank cell or a JSON null
-    reads as None, or is an error where the column requires a value."""
+    reads as None, or is an error where the column requires a value. A JSON
+    boolean is an error, though float(True) is 1.0."""
     if isinstance(value, str):
         value = value.strip() or None
     if value is None:
         if required:
             raise ValueError(f"column {column!r}: a value is required")
         return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"column {column!r}: cannot parse number from {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"column {column!r}: cannot parse number from {value!r}")
 
 
 def parse_count(value, column: str, required: bool = False) -> int | None:

@@ -584,10 +584,14 @@ def _merge_report_payload(report: MergeReport) -> dict:
     }
 
 
+_BRIDGE_MODEL_KEYS = ("intercept", "slope", "intercept_se", "slope_se", "adj_r2", "f_statistic",
+                      "f_df", "f_pvalue", "n_observations", "performance_ratio")
+
+
 def _bridge_payload(bridge: BridgeModel | None, counts: dict) -> dict:
     return {
         "model": None if bridge is None else {
-            **{k: v for k, v in vars(bridge).items() if k != "diagnostics"}, "log_base": "natural"
+            **{k: getattr(bridge, k) for k in _BRIDGE_MODEL_KEYS}, "log_base": "natural"
         },
         "diagnostics": None
         if bridge is None or bridge.diagnostics is None

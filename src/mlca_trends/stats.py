@@ -13,6 +13,9 @@ Diagnostics:
     D ~ N(2, 4/n) under the null. The approximation is O(1/n); for n < 30
     the p-value is indicative only. Reported p is one-sided for positive
     autocorrelation (small D -> small p).
+
+scipy.stats is imported by the functions that compute p-values, not at module
+load: it is most of the package's start-up time, and only bridge.json needs it.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import stats as _sps
 
 from .errors import DegenerateDataError, StatsError
 
@@ -54,7 +57,6 @@ class RegressionResult:
     adj_r2: float
     f_statistic: float
     f_df: tuple[int, int]
-    f_pvalue: float
     residuals: np.ndarray
     weights: np.ndarray
     n: int
@@ -66,6 +68,14 @@ class RegressionResult:
     @property
     def slope(self) -> float:
         return float(self.coefficients[1])
+
+    @cached_property
+    def f_pvalue(self) -> float:
+        """Upper tail of F(f_df) at f_statistic; 0.0 for a perfect fit."""
+        if math.isinf(self.f_statistic):
+            return 0.0
+        from scipy.stats import f
+        return float(f.sf(self.f_statistic, *self.f_df))
 
 
 @dataclass(frozen=True)
@@ -148,12 +158,7 @@ def wls_fit(x, y, weights=None) -> RegressionResult:
     else:
         r2 = 0.0  # constant response: no variance to explain
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
-    if rss > 0.0:
-        f_stat = (tss - rss) / (rss / dof)
-        f_pvalue = float(_sps.f.sf(f_stat, 1, dof))
-    else:
-        f_stat = math.inf
-        f_pvalue = 0.0
+    f_stat = (tss - rss) / (rss / dof) if rss > 0.0 else math.inf
 
     return RegressionResult(
         coefficients=np.array([intercept, slope]),
@@ -162,7 +167,6 @@ def wls_fit(x, y, weights=None) -> RegressionResult:
         adj_r2=adj_r2,
         f_statistic=f_stat,
         f_df=(1, dof),
-        f_pvalue=f_pvalue,
         residuals=residuals,
         weights=w,
         n=n,
@@ -200,7 +204,8 @@ def durbin_watson(residuals) -> tuple[float, float]:
     if denom == 0.0:
         raise DegenerateDataError("all residuals are zero")
     d = float(np.sum(np.diff(e) ** 2) / denom)
-    p = float(_sps.norm.cdf((d - 2.0) / (2.0 / math.sqrt(n))))
+    from scipy.stats import norm
+    p = float(norm.cdf((d - 2.0) / (2.0 / math.sqrt(n))))
     return d, p
 
 
@@ -218,7 +223,8 @@ def breusch_pagan_studentized(x, residuals) -> tuple[float, float]:
         raise StatsError(f"need at least 3 observations, got {x.size}")
     aux = wls_fit(x, e * e)
     stat = aux.n * aux.r2
-    return float(stat), float(_sps.chi2.sf(stat, 1))
+    from scipy.stats import chi2
+    return float(stat), float(chi2.sf(stat, 1))
 
 
 def shapiro_wilk(sample) -> tuple[float, float]:
@@ -228,7 +234,8 @@ def shapiro_wilk(sample) -> tuple[float, float]:
         raise StatsError(f"sample size must be in [3, 5000], got {s.size}")
     if float(s.max() - s.min()) == 0.0:
         raise DegenerateDataError("constant sample")
-    w, p = _sps.shapiro(s)
+    from scipy.stats import shapiro
+    w, p = shapiro(s)
     return float(w), float(p)
 
 

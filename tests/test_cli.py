@@ -1,11 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats as sps
 
+from mlca_trends import pipeline
 from mlca_trends.cli import main
+from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
     OUTPUT_SCHEMAS,
     RunConfig,
@@ -13,6 +20,7 @@ from mlca_trends.pipeline import (
     run_pipeline,
     scenario_compare,
 )
+from mlca_trends.stats import wls_fit
 
 REPORT_FILES = [
     "coverage.csv", "bridge.json", "estimates.csv",
@@ -75,6 +83,69 @@ class TestRunPipeline:
         assert payload["model"]["performance_ratio"] == pytest.approx(
             math.exp(-payload["model"]["intercept"]), rel=1e-12
         )
+
+    def test_bridge_json_p_values_are_scipys_on_the_fitted_pairs(self, tmp_path, monkeypatch):
+        fitted = []
+
+        def recorded(pairs):
+            fitted.extend(pairs)
+            return fit_bridge(pairs)
+
+        monkeypatch.setattr(pipeline, "fit_bridge", recorded)
+        run_pipeline(RunConfig(out=tmp_path / "out"))
+        payload = json.loads((tmp_path / "out" / "bridge.json").read_text())
+        x = np.log([h2 for _, h2 in fitted])
+        fit = wls_fit(x, np.log([h1 for h1, _ in fitted]))
+        e, n = fit.residuals, fit.n
+        assert payload["model"]["f_statistic"] == fit.f_statistic
+        assert payload["model"]["f_pvalue"] == sps.f.sf(fit.f_statistic, 1, n - 2)
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["shapiro_wilk"] == list(sps.shapiro(e))
+        bp = n * wls_fit(x, e * e).r2
+        assert diagnostics["breusch_pagan_studentized"] == [bp, sps.chi2.sf(bp, 1)]
+        dw = np.sum(np.diff(e) ** 2) / np.dot(e, e)
+        assert diagnostics["durbin_watson"] == [dw, sps.norm.cdf((dw - 2.0) / (2.0 / math.sqrt(n)))]
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_main(commands: list[list[str]]) -> tuple[list[int], list[str]]:
+    """Runs main() over each argument list in a fresh interpreter with src on
+    PYTHONPATH; returns the exit codes and the scipy modules then loaded."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from mlca_trends.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
+    env["PYTHONPATH"] = str(_SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return tuple(json.loads(result.stdout))
+
+
+class TestScipyOnDemand:
+    def test_import_loads_no_scipy(self):
+        assert _fresh_main([]) == ([], [])
+
+    def test_stage_subcommands_but_bridge_load_no_scipy_stats(self, tmp_path):
+        commands = [
+            [command, "--out", str(tmp_path / command)]
+            for command in ("ingest", "coverage", "estimate", "impacts", "trends")
+        ] + [["scenario", "--scenario-ratio", "0.1", "--out", str(tmp_path / "scenario")]]
+        codes, modules = _fresh_main(commands)
+        assert codes == [0] * len(commands)
+        assert "scipy.stats" not in modules
+
+    def test_bridge_loads_scipy_stats(self, tmp_path):
+        codes, modules = _fresh_main([["bridge", "--out", str(tmp_path / "out")]])
+        assert codes == [0] and "scipy.stats" in modules
 
 
 class TestScenarioCompare:
@@ -355,6 +426,12 @@ _MALFORMED_INPUTS = {
     "constants-entry-without-value": ("lca", "--constants", b'{"pue": {"v": 1}}', []),
     "constants-not-a-number": ("lca", "--constants", b'{"pue": "abc"}', []),
     "constants-nan": ("lca", "--constants", b'{"pue": NaN}', []),
+    "constants-boolean": ("lca", "--constants", b'{"pue": true}', []),
+    "server-count-boolean": (
+        "lca", "--server-profiles",
+        b'{"default": {"gpus_per_server": true, "cpus_per_server": 2, "cpu_tdp_w": 150}}',
+        [],
+    ),
     "server-rule-without-match": (
         "lca", "--server-profiles",
         b'{"default": {"gpus_per_server": 4, "cpus_per_server": 2, "cpu_tdp_w": 150},'
