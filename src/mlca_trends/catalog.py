@@ -9,16 +9,14 @@ set plus a reference pick driven by an explicit plausibility config.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
 from .errors import CatalogError, UnresolvedCardError
-from .inputs import parse_date, parse_number, read_csv, read_json
+from .inputs import parse_date, parse_number, read_csv, read_json, write_csv
 
 __all__ = [
     "CARD_COLUMNS",
@@ -218,27 +216,10 @@ def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]
 
 def serialize_card_table(cards, path) -> None:
     """Write cards back to the canonical CSV schema (parse round-trips)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CARD_COLUMNS)
-        for card in cards:
-            writer.writerow(
-                [
-                    card.name,
-                    card.vendor,
-                    card.release_date.isoformat(),
-                    *(
-                        "" if getattr(card, col) is None else str(getattr(card, col))
-                        for col in CARD_COLUMNS[3:6]
-                    ),
-                    card.memory_type or "",
-                    *(
-                        "" if getattr(card, col) is None else str(getattr(card, col))
-                        for col in CARD_COLUMNS[7:]
-                    ),
-                ]
-            )
+    write_csv(path, CARD_COLUMNS, (
+        ["" if getattr(card, col) is None else str(getattr(card, col)) for col in CARD_COLUMNS]
+        for card in cards
+    ))
 
 
 def _index_by_name(cards, label: str) -> dict[str, CardSpec]:

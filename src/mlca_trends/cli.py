@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="calibrate compute-based estimates with the bridge regression (default true)",
         )
         p.add_argument("--scenario-ratio", type=float, default=None,
-                       help="annual carbon-intensity reduction ratio, 0..0.25")
+                       help="annual carbon-intensity reduction ratio in [0, 1]; "
+                       "above 0.25 is outside the explored range")
         p.add_argument("--gwp-floor", type=float, default=None,
                        help="exclude systems below this footprint (kgCO2eq) in scenario series")
         p.add_argument("--seed", type=int, default=None, help="recorded in provenance")

@@ -1,6 +1,8 @@
 """Reading input files: the path check, the UTF-8 decode, the parse and the
 header check of every CSV and JSON input. A malformed file raises the caller's
-stage error naming the file; the cell parsers raise ValueError."""
+stage error naming the file; the cell parsers raise ValueError. The one CSV
+writer and cell formatter live here too, so tables round-trip through one
+module."""
 
 from __future__ import annotations
 
@@ -89,3 +91,24 @@ def parse_date(cell: str, column: str) -> dt.date:
         return dt.date.fromisoformat(cell)
     except ValueError:
         raise ValueError(f"column {column!r}: cannot parse ISO date from {cell!r}") from None
+
+
+def format_cell(value) -> str:
+    """A CSV cell: blank for None, 12 significant digits for a float, an ISO
+    date for a date, str() for anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV table: the header, then each row through format_cell."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(cell) for cell in row])

@@ -11,7 +11,10 @@ card-only accounting; an extended memory model can be added behind a factor
 entry later.
 
 A carbon-intensity scenario multiplies a mix's intensity by (1-ratio)^n,
-n being the whole years since 2019 at system release.
+n being the whole years since 2019 at system release, with ratio in [0, 1].
+`scenario_gwp` applies it to a system's reference usage phase only (the
+reference card under the first-listed country's mix); embodied impacts stay
+fixed.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "usage_impact",
     "apply_ci_scenario",
     "system_impact",
+    "scenario_gwp",
     "embodied_share_table",
 ]
 
@@ -190,7 +194,9 @@ class LcaConstants:
 
 @dataclass(frozen=True)
 class SystemImpact:
-    """Per-metric impact intervals for one system, plus reference-phase split."""
+    """Per-metric impact intervals for one system, plus the reference-phase
+    split and the reference mix (the first-listed country's), which a
+    carbon-intensity scenario reprices."""
 
     system_name: str
     publication_date: dt.date
@@ -200,7 +206,7 @@ class SystemImpact:
     embodied_ref: ImpactVector
     total_ref: ImpactVector
     method: str
-    scenario_ratio: float | None = None
+    mix_ref: ElectricityMix
 
 
 @dataclass(frozen=True)
@@ -374,11 +380,11 @@ def apply_ci_scenario(
     """Carbon intensity under a continuous annual reduction of `ratio`.
 
     Multiplies by (1-ratio)^n with n the whole years since 2019; releases
-    before 2019 are unchanged. Ratios above 0.25 are outside the explored
-    range and only warned about.
+    before 2019 are unchanged. The ratio must lie in [0, 1]; ratios above
+    0.25 are outside the explored range and only warned about.
     """
-    if ratio < 0:
-        raise LcaError(f"reduction ratio must be >= 0, got {ratio}")
+    if not 0 <= ratio <= 1:  # also false for nan
+        raise LcaError(f"reduction ratio must be in [0, 1], got {ratio}")
     if ratio > 0.25:
         warnings.warn(
             f"reduction ratio {ratio} exceeds the explored range (0.25/year)",
@@ -415,7 +421,6 @@ def system_impact(
     server_profiles: ServerProfileTable,
     factors: ImpactFactors,
     constants: LcaConstants,
-    scenario_ratio: float | None = None,
 ) -> SystemImpact:
     """Total impacts of one training run, with ambiguity intervals.
 
@@ -455,18 +460,7 @@ def system_impact(
             continue
         embodied_by_card[card.name] = embodied
         for code in countries:
-            mix = mixes[code]
-            if scenario_ratio is not None:
-                mix = ElectricityMix(
-                    country=mix.country,
-                    carbon_intensity_g_per_kwh=apply_ci_scenario(
-                        mix.carbon_intensity_g_per_kwh,
-                        scenario_ratio,
-                        system.publication_date.year,
-                    ),
-                    adpe_kgsb_per_kwh=mix.adpe_kgsb_per_kwh,
-                )
-            totals[(card.name, code)] = usage_impact(energy, mix) + embodied
+            totals[(card.name, code)] = usage_impact(energy, mixes[code]) + embodied
 
     ref_key = (card_ref.reference.name, countries[0])
     if ref_key not in totals:
@@ -490,8 +484,18 @@ def system_impact(
         embodied_ref=embodied_by_card[card_ref.reference.name],
         total_ref=total_ref,
         method=estimate.method,
-        scenario_ratio=scenario_ratio,
+        mix_ref=mixes[countries[0]],
     )
+
+
+def scenario_gwp(impact: SystemImpact, ratio: float) -> float:
+    """Reference GWP (kg) of a system under a carbon-intensity reduction of
+    `ratio`: only the usage phase of its reference card and first country is
+    repriced, and the embodied impacts stay as they are."""
+    intensity = apply_ci_scenario(
+        impact.mix_ref.carbon_intensity_g_per_kwh, ratio, impact.publication_date.year
+    )
+    return impact.total_ref.energy_kwh * intensity / 1000.0 + impact.embodied_ref.gwp_kg
 
 
 def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:

@@ -13,12 +13,13 @@ files.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import datetime as dt
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files as _resource_files
@@ -55,6 +56,7 @@ from .estimation import (
     fit_bridge,
     gpu_hours_from_flop,
 )
+from .inputs import format_cell, write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
     SystemImpact,
     embodied_share_table,
@@ -63,6 +65,7 @@ from .lca import (
     load_mix_table,
     load_server_profiles,
     production_impact,
+    scenario_gwp,
     system_impact,
 )
 from .stats import TrendFit, exp_trend, to_fractional_year
@@ -164,11 +167,8 @@ class RunConfig:
                 object.__setattr__(self, name, Path(value))
         if not (math.isfinite(self.gwp_floor) and self.gwp_floor >= 0):
             raise PipelineError(f"gwp floor must be a finite number >= 0, got {self.gwp_floor}")
-        if self.scenario_ratio is not None:
-            if not (math.isfinite(self.scenario_ratio) and self.scenario_ratio >= 0):
-                raise PipelineError(
-                    f"scenario ratio must be a finite number >= 0, got {self.scenario_ratio}"
-                )
+        if self.scenario_ratio is not None and not 0 <= self.scenario_ratio <= 1:
+            raise PipelineError(f"scenario ratio must be in [0, 1], got {self.scenario_ratio}")
 
     def sha256(self) -> str:
         payload = {
@@ -294,7 +294,7 @@ def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
     return rows, skipped
 
 
-def impact_stage(bundle: Bundle, estimate_rows, scenario_ratio=None):
+def impact_stage(bundle: Bundle, estimate_rows):
     """Impacts for every estimated system whose hardware resolved."""
     impacts: list[SystemImpact] = []
     skipped = []
@@ -314,7 +314,6 @@ def impact_stage(bundle: Bundle, estimate_rows, scenario_ratio=None):
                     bundle.server_profiles,
                     bundle.factors,
                     bundle.constants,
-                    scenario_ratio=scenario_ratio,
                 )
             )
         except (CannotEstimateError, UnknownCountryError) as exc:
@@ -365,26 +364,24 @@ def trend_stage(bundle: Bundle, impacts):
     return fitted
 
 
-def _scenario_from_rows(bundle, estimate_rows, impacts_real, ratio,
-                        gwp_floor) -> ScenarioComparison:
+def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> ScenarioComparison:
     """Real vs carbon-intensity-reduction footprints for post-2019 systems.
 
-    Only the reduced-intensity impacts are computed here; the real series
-    is the run's impacts. Both series drop systems whose carbon footprint
-    falls below the floor; exclusion counts are reported per series.
+    The real series is the run's impacts; the scenario series reprices each
+    one's reference usage phase. Both series drop systems whose carbon
+    footprint falls below the floor; exclusion counts are reported per series.
     """
     if not any(r.publication_date.year >= 2019 for r in impacts_real):
         raise PipelineError("no post-2019 systems; scenario comparison is empty")
-    impacts_scenario, _ = impact_stage(bundle, estimate_rows, scenario_ratio=ratio)
     points = []
     excluded = {"real": 0, "scenario": 0}
     fits = {}
-    for series, impacts in (("real", impacts_real), ("scenario", impacts_scenario)):
+    for series in ("real", "scenario"):
         kept = []
-        for r in impacts:
+        for r in impacts_real:
             if r.publication_date.year < 2019:
                 continue
-            value = r.gwp_kg.reference
+            value = r.gwp_kg.reference if series == "real" else scenario_gwp(r, ratio)
             included = value >= gwp_floor
             if not included:
                 excluded[series] += 1
@@ -398,24 +395,6 @@ def _scenario_from_rows(bundle, estimate_rows, impacts_real, ratio,
     return ScenarioComparison(
         ratio, points, excluded["real"], excluded["scenario"], fits["real"], fits["scenario"]
     )
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -512,8 +491,7 @@ class Run:
     @cached_property
     def scenario(self) -> ScenarioComparison:
         return _scenario_from_rows(
-            self.bundle, self.estimates[0], self.impacts[0],
-            self.config.scenario_ratio, self.config.gwp_floor,
+            self.impacts[0], self.config.scenario_ratio, self.config.gwp_floor
         )
 
     @property
@@ -636,7 +614,7 @@ WRITERS = {
          r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
          r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
          r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
-         r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method, r.scenario_ratio]
+         r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method, None]
         for r in run.impacts[0]
     )),
     "trends.csv": lambda run, path: _write_csv(
@@ -659,9 +637,11 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
     """Write the outputs named in `only` (default: the report outputs, plus
     scenario.csv when a ratio is set) under config.out, in WRITERS order.
 
-    scenario.csv is written as scenario_<ratio>.csv. Returns the run, which
-    holds the computed stages, the written file names, counts and
-    provenance."""
+    scenario.csv is written as scenario_<ratio>.csv. The files are written to
+    a temporary directory beside config.out and moved into it only once every
+    writer has succeeded, so a failed run leaves config.out as it was. Returns
+    the run, which holds the computed stages, the written file names, counts
+    and provenance."""
     if only is None:
         only = {*REPORT_OUTPUTS, *(["scenario.csv"] if config.scenario_ratio is not None else [])}
     unknown = sorted(set(only) - set(WRITERS))
@@ -671,17 +651,26 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
         raise ConfigError("scenario requires --scenario-ratio")
     out = Path(config.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # say, a file already holds that path
+        out.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    except OSError as exc:
         raise PipelineError(f"cannot create output directory {out}: {exc}") from None
     run = Run(config)
-    for name in WRITERS:
-        if name in only:
-            path = out / (
-                f"scenario_{_fmt(config.scenario_ratio)}.csv" if name == "scenario.csv" else name
-            )
-            WRITERS[name](run, path)
-            run.output_files.append(path.name)
+    try:
+        for name, writer in WRITERS.items():
+            if name in only:
+                if name == "scenario.csv":
+                    name = f"scenario_{format_cell(config.scenario_ratio)}.csv"
+                writer(run, staging / name)
+                run.output_files.append(name)
+        try:
+            out.mkdir(exist_ok=True)
+            for name in run.output_files:
+                os.replace(staging / name, out / name)
+        except OSError as exc:  # say, a file already holds that path
+            raise PipelineError(f"cannot write output directory {out}: {exc}") from None
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return run
 
 

@@ -44,11 +44,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionResult:
     """Fit of y = a + b*x minimizing sum w_i (y_i - a - b*x_i)^2.
 
     coefficients is (a, b); standard_errors matches. f_df is (1, n-2).
+    Compared by identity: a field-wise == over numpy arrays has no truth value.
     """
 
     coefficients: np.ndarray

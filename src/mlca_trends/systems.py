@@ -9,15 +9,13 @@ the reference for impact evaluation downstream.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .catalog import RowError
 from .errors import SystemsError
-from .inputs import parse_count, parse_date, parse_number, read_csv, read_json
+from .inputs import parse_count, parse_date, parse_number, read_csv, read_json, write_csv
 
 __all__ = [
     "SYSTEM_COLUMNS",
@@ -219,24 +217,20 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
 
 def serialize_systems_table(systems, path) -> None:
     """Write records back to the canonical schema (parse round-trips)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SYSTEM_COLUMNS)
-        for s in systems:
-            writer.writerow(
-                [
-                    s.name,
-                    s.publication_date.isoformat(),
-                    "" if s.training_flop is None else str(s.training_flop),
-                    ";".join(s.hardware_names) if s.hardware_names else "",
-                    "" if s.hardware_quantity is None else str(s.hardware_quantity),
-                    "" if s.training_hours is None else str(s.training_hours),
-                    ";".join(s.countries) if s.countries else "",
-                    s.confidence,
-                    "true" if s.finetuned else "false",
-                ]
-            )
+    write_csv(path, SYSTEM_COLUMNS, (
+        [
+            s.name,
+            s.publication_date.isoformat(),
+            "" if s.training_flop is None else str(s.training_flop),
+            ";".join(s.hardware_names) if s.hardware_names else "",
+            "" if s.hardware_quantity is None else str(s.hardware_quantity),
+            "" if s.training_hours is None else str(s.training_hours),
+            ";".join(s.countries) if s.countries else "",
+            s.confidence,
+            "true" if s.finetuned else "false",
+        ]
+        for s in systems
+    ))
 
 
 def _counts_for(systems) -> CoverageCounts:

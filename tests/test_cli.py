@@ -344,19 +344,19 @@ class TestStageSubcommands:
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert "estimates" in counts and "impacts" not in counts
 
-    def test_scenario_report_runs_two_impact_passes(self, tmp_path, monkeypatch, capsys):
+    def test_scenario_report_runs_one_impact_pass(self, tmp_path, monkeypatch, capsys):
         import mlca_trends.pipeline as pipeline
 
-        ratios = []
+        calls = []
         original = pipeline.impact_stage
 
-        def counted(bundle, estimate_rows, scenario_ratio=None):
-            ratios.append(scenario_ratio)
-            return original(bundle, estimate_rows, scenario_ratio=scenario_ratio)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "impact_stage", counted)
         assert main(["report", "--out", str(tmp_path / "out"), "--scenario-ratio", "0.1"]) == 0
-        assert ratios == [None, 0.1]
+        assert len(calls) == 1
 
     def test_each_hardware_string_resolved_once(self, tmp_path, monkeypatch, capsys):
         import mlca_trends.pipeline as pipeline
@@ -492,6 +492,8 @@ class TestInputBoundary:
             ["--scenario-ratio", "inf"],
             ["--scenario-ratio", "0.1", "--gwp-floor", "-5"],
             ["--scenario-ratio", "0.1", "--gwp-floor", "nan"],
+            ["--scenario-ratio", "1.5"],
+            ["--scenario-ratio", "2"],
         ],
     )
     def test_bad_scenario_flags_fail_before_writing(self, tmp_path, capsys, flags):
@@ -570,6 +572,28 @@ class TestInputBoundary:
         assert code == 0
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert (counts["system_row_errors"], counts["card_row_errors"]) == (1, 1)
+
+    def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
+        header, *rows = _bundled("systems_sample.csv").decode("utf-8").splitlines(keepends=True)
+        systems = tmp_path / "systems.csv"
+        systems.write_text(
+            header + "".join(row for row in rows if row.split(",")[1] < "2019"), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = main(["report", "--systems", str(systems), "--scenario-ratio", "0.1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [pipeline]: no post-2019 systems")
+        assert list(tmp_path.iterdir()) == [systems]  # neither out nor its staging directory
+
+    def test_outputs_join_an_existing_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["bridge", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["bridge.json", "notes.txt"]
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_out_naming_a_file_is_a_pipeline_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,6 +18,7 @@ from mlca_trends.lca import (
     apply_ci_scenario,
     embodied_share_table,
     production_impact,
+    scenario_gwp,
     system_impact,
     training_energy,
     usage_impact,
@@ -223,6 +224,11 @@ class TestScenario:
         with pytest.raises(LcaError):
             apply_ci_scenario(400.0, -0.1, 2020)
 
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, math.nan])
+    def test_ratio_above_one_rejected(self, ratio):
+        with pytest.raises(LcaError):
+            apply_ci_scenario(400.0, ratio, 2020)
+
     def test_ratio_above_explored_range_warns(self):
         with pytest.warns(UserWarning, match="explored range"):
             apply_ci_scenario(400.0, 0.3, 2020)
@@ -349,16 +355,14 @@ class TestSystemImpact:
         ref = CardReference("Card X", (oracle_card,), oracle_card)
         real = system_impact(sys, est, ref, simple_mixes, profile_table,
                              oracle_factors, default_constants)
-        reduced = system_impact(sys, est, ref, simple_mixes, profile_table,
-                                oracle_factors, default_constants, scenario_ratio=0.25)
+        assert real.mix_ref is simple_mixes["POL"]
         embodied = real.embodied_ref.gwp_kg
         usage_real = real.gwp_kg.reference - embodied
-        usage_reduced = reduced.gwp_kg.reference - embodied
+        usage_reduced = scenario_gwp(real, 0.25) - embodied
         assert usage_reduced == pytest.approx(usage_real * 0.75**2, rel=1e-11)
-        assert reduced.energy_kwh.reference == real.energy_kwh.reference
-        assert reduced.adpe_kgsb.reference == pytest.approx(
-            real.adpe_kgsb.reference, rel=1e-12
-        )
+        assert scenario_gwp(real, 0.0) == real.gwp_kg.reference
+        with pytest.warns(UserWarning, match="explored range"):
+            assert scenario_gwp(real, 1.0) == embodied
 
 
 class TestServerProfiles:

@@ -1,9 +1,11 @@
 """Property tests of the model's invariants: every interval keeps
 min <= reference <= max, embodied impacts never exceed totals, and a larger
-carbon-intensity reduction ratio never raises a footprint."""
+carbon-intensity reduction ratio never raises a footprint nor takes it below
+its embodied part."""
 
 import datetime as dt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +13,13 @@ from mlca_trends.catalog import CardReference
 from mlca_trends.estimation import GpuHoursEstimate
 from mlca_trends.intervals import EstimateInterval
 from mlca_trends.lca import (
+    ElectricityMix,
     LcaConstants,
+    apply_ci_scenario,
     load_impact_factors,
     load_mix_table,
     load_server_profiles,
+    scenario_gwp,
     system_impact,
 )
 from mlca_trends.pipeline import default_data_path
@@ -24,6 +29,8 @@ from tests.conftest import make_card
 # Derandomized and without an example database, so every run draws the same
 # examples and the suite stays deterministic.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Ratios span [0, 1]; those above 0.25 warn that they leave the explored range.
+pytestmark = pytest.mark.filterwarnings("ignore:reduction ratio .* explored range")
 
 MIXES = load_mix_table(default_data_path("electricity_mixes.csv"))
 FACTORS = load_impact_factors(default_data_path("impact_factors.json"))
@@ -31,7 +38,7 @@ SERVERS = load_server_profiles(default_data_path("server_profiles.json"))
 CONSTANTS = LcaConstants()
 
 positive = st.floats(min_value=1e-3, max_value=1e7, allow_nan=False, allow_infinity=False)
-ratios = st.floats(min_value=0.0, max_value=0.25, allow_nan=False)
+ratios = st.floats(min_value=0.0, max_value=1.0)
 
 # One candidate card: a name prefix that picks a server-profile rule (or the
 # default), die area, memory, TDP and the GPU-hours estimated on it.
@@ -77,8 +84,8 @@ def impact_cases(draw):
     return system, estimate, CardReference("Q", tuple(cards), reference)
 
 
-def _impact(case, ratio=None):
-    return system_impact(*case, MIXES, SERVERS, FACTORS, CONSTANTS, scenario_ratio=ratio)
+def _impact(case, mixes=MIXES):
+    return system_impact(*case, mixes, SERVERS, FACTORS, CONSTANTS)
 
 
 @PROPERTY
@@ -90,9 +97,9 @@ def test_candidate_envelope_holds_its_reference(values, data):
 
 
 @PROPERTY
-@given(impact_cases(), st.none() | ratios)
-def test_impact_intervals_ordered_and_embodied_within_total(case, ratio):
-    impact = _impact(case, ratio)
+@given(impact_cases())
+def test_impact_intervals_ordered_and_embodied_within_total(case):
+    impact = _impact(case)
     for interval in (impact.energy_kwh, impact.gwp_kg, impact.adpe_kgsb):
         assert interval.min <= interval.reference <= interval.max
     assert impact.embodied_ref.gwp_kg <= impact.total_ref.gwp_kg
@@ -100,10 +107,20 @@ def test_impact_intervals_ordered_and_embodied_within_total(case, ratio):
 
 
 @PROPERTY
+@given(impact_cases(), ratios)
+def test_scenario_gwp_equals_impacts_under_reduced_mixes(case, ratio):
+    year = case[0].publication_date.year
+    reduced = {
+        code: ElectricityMix(code, apply_ci_scenario(mix.carbon_intensity_g_per_kwh, ratio, year),
+                             mix.adpe_kgsb_per_kwh)
+        for code, mix in MIXES.items()
+    }
+    assert scenario_gwp(_impact(case), ratio) == _impact(case, reduced).gwp_kg.reference
+
+
+@PROPERTY
 @given(impact_cases(), ratios, ratios)
 def test_scenario_footprint_does_not_rise_with_the_ratio(case, r1, r2):
     low, high = sorted((r1, r2))
-    at_low, at_high = _impact(case, low), _impact(case, high)
-    for metric in ("gwp_kg", "adpe_kgsb"):
-        a, b = getattr(at_low, metric), getattr(at_high, metric)
-        assert b.min <= a.min and b.reference <= a.reference and b.max <= a.max
+    impact = _impact(case)
+    assert impact.embodied_ref.gwp_kg <= scenario_gwp(impact, high) <= scenario_gwp(impact, low)

@@ -25,6 +25,12 @@ def hand_ols(x, y):
 
 
 class TestWlsFit:
+    def test_fits_compare_to_a_bool(self):
+        x, y = [1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 2.9, 4.2]
+        fit = wls_fit(x, y)
+        assert (fit == fit) is True
+        assert (fit == wls_fit(x, y)) is False  # compared by identity
+
     def test_unit_weights_match_independent_ols(self):
         rng = np.random.default_rng(42)
         x = rng.uniform(-5, 5, 50)
