@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -194,11 +195,21 @@ _SUBCOMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Prints a warning as one `warning [module]: …` line on stderr, labelled
+    by the package module it is attributed to (pipeline for any other)."""
+    where = Path(filename)
+    stage = where.stem if where.parent == Path(__file__).parent else "pipeline"
+    print(f"warning [{stage}]: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _, outputs, summarize = _SUBCOMMANDS[args.command]
     try:
-        _print_json(summarize(run_pipeline(_config_from_args(args), only=outputs)))
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            _print_json(summarize(run_pipeline(_config_from_args(args), only=outputs)))
     except MlcaTrendsError as exc:
         stage = "pipeline"
         for error_type, label in _STAGE_BY_ERROR:

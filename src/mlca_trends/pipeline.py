@@ -13,6 +13,7 @@ files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -639,9 +640,10 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
 
     scenario.csv is written as scenario_<ratio>.csv. The files are written to
     a temporary directory beside config.out and moved into it only once every
-    writer has succeeded, so a failed run leaves config.out as it was. Returns
-    the run, which holds the computed stages, the written file names, counts
-    and provenance."""
+    writer has succeeded, so a failed run leaves config.out as it was, and
+    removes the parent directories it created for it. Returns the run, which
+    holds the computed stages, the written file names, counts and
+    provenance."""
     if only is None:
         only = {*REPORT_OUTPUTS, *(["scenario.csv"] if config.scenario_ratio is not None else [])}
     unknown = sorted(set(only) - set(WRITERS))
@@ -650,27 +652,34 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
     if "scenario.csv" in only and config.scenario_ratio is None:
         raise ConfigError("scenario requires --scenario-ratio")
     out = Path(config.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
-    except OSError as exc:
-        raise PipelineError(f"cannot create output directory {out}: {exc}") from None
+    created = [d for d in (out, *out.parents) if not os.path.exists(d)]  # deepest first
     run = Run(config)
     try:
-        for name, writer in WRITERS.items():
-            if name in only:
-                if name == "scenario.csv":
-                    name = f"scenario_{format_cell(config.scenario_ratio)}.csv"
-                writer(run, staging / name)
-                run.output_files.append(name)
         try:
-            out.mkdir(exist_ok=True)
-            for name in run.output_files:
-                os.replace(staging / name, out / name)
-        except OSError as exc:  # say, a file already holds that path
-            raise PipelineError(f"cannot write output directory {out}: {exc}") from None
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+        except OSError as exc:
+            raise PipelineError(f"cannot create output directory {out}: {exc}") from None
+        try:
+            for name, writer in WRITERS.items():
+                if name in only:
+                    if name == "scenario.csv":
+                        name = f"scenario_{format_cell(config.scenario_ratio)}.csv"
+                    writer(run, staging / name)
+                    run.output_files.append(name)
+            try:
+                out.mkdir(exist_ok=True)
+                for name in run.output_files:
+                    os.replace(staging / name, out / name)
+            except OSError as exc:  # say, a file already holds that path
+                raise PipelineError(f"cannot write output directory {out}: {exc}") from None
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    except BaseException:
+        for directory in created:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                directory.rmdir()
+        raise
     return run
 
 

@@ -6,7 +6,9 @@ works on the natural log of the values, so a fitted slope s per year means a
 growth factor exp(s) and a CAGR of 100*(exp(s)-1) percent.
 
 Diagnostics:
-  * Shapiro-Wilk via Royston's approximation (scipy implementation).
+  * Shapiro-Wilk: a pure-Python port of Royston's AS R94 (Appl. Statist. 44,
+    1995) as scipy.stats.shapiro runs it, with the AS 111 normal quantile and
+    the AS 66 normal tail; W and p equal scipy's to the last bit.
   * Studentized (Koenker) Breusch-Pagan: n*R^2 of e^2 regressed on x,
     chi-square with 1 df.
   * Durbin-Watson with a normal approximation for the p-value,
@@ -14,14 +16,17 @@ Diagnostics:
     the p-value is indicative only. Reported p is one-sided for positive
     autocorrelation (small D -> small p).
 
-scipy.stats is imported by the functions that compute p-values, not at module
-load: it is most of the package's start-up time, and only bridge.json needs it.
+The F, chi-square and normal tails come from scipy.special (fdtrc, chdtrc,
+ndtr), the functions scipy.stats evaluates for f.sf, chi2.sf and norm.cdf.
+scipy.special is imported by the functions that use it, not at module load,
+and scipy.stats is never imported: only bridge.json needs a p-value.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,8 +80,9 @@ class RegressionResult:
         """Upper tail of F(f_df) at f_statistic; 0.0 for a perfect fit."""
         if math.isinf(self.f_statistic):
             return 0.0
-        from scipy.stats import f
-        return float(f.sf(self.f_statistic, *self.f_df))
+        from scipy.special import fdtrc
+        # F can fall below 0 only by rounding; p is then 1, as f.sf gives.
+        return float(fdtrc(*self.f_df, max(self.f_statistic, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,8 @@ def durbin_watson(residuals) -> tuple[float, float]:
     if denom == 0.0:
         raise DegenerateDataError("all residuals are zero")
     d = float(np.sum(np.diff(e) ** 2) / denom)
-    from scipy.stats import norm
-    p = float(norm.cdf((d - 2.0) / (2.0 / math.sqrt(n))))
+    from scipy.special import ndtr
+    p = float(ndtr((d - 2.0) / (2.0 / math.sqrt(n))))
     return d, p
 
 
@@ -224,8 +230,8 @@ def breusch_pagan_studentized(x, residuals) -> tuple[float, float]:
         raise StatsError(f"need at least 3 observations, got {x.size}")
     aux = wls_fit(x, e * e)
     stat = aux.n * aux.r2
-    from scipy.stats import chi2
-    return float(stat), float(chi2.sf(stat, 1))
+    from scipy.special import chdtrc
+    return float(stat), float(chdtrc(1, max(stat, 0.0)))  # as chi2.sf below 0
 
 
 def shapiro_wilk(sample) -> tuple[float, float]:
@@ -233,11 +239,158 @@ def shapiro_wilk(sample) -> tuple[float, float]:
     s = _as_vector(sample, "sample")
     if not 3 <= s.size <= 5000:
         raise StatsError(f"sample size must be in [3, 5000], got {s.size}")
-    if float(s.max() - s.min()) == 0.0:
+    spread = float(s.max()) - float(s.min())
+    if spread == 0.0:
         raise DegenerateDataError("constant sample")
-    from scipy.stats import shapiro
-    w, p = shapiro(s)
-    return float(w), float(p)
+    if math.isinf(spread):
+        raise StatsError("sample range overflows a float")
+    # Shift by an element near the median before scaling, as scipy does.
+    y = np.sort(s)
+    y -= s[s.size // 2]
+    return _swilk(y.tolist())
+
+
+# AS R94 polynomial coefficients, lowest order first.
+_SW_C1 = (0.0, 0.221157, -0.147981, -2.07119, 4.434685, -2.706056)
+_SW_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
+_SW_C3 = (0.544, -0.39978, 0.025054, -6.714e-4)
+_SW_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
+_SW_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
+_SW_C6 = (-0.4803, -0.082676, 0.0030302)
+_SW_G = (-2.273, 0.459)
+_SW_SMALL = 1e-19
+
+
+def _poly(cc, x: float) -> float:
+    """Polynomial with coefficients cc (lowest order first) at x, in AS R94's
+    evaluation order."""
+    p = x * cc[-1]
+    for c in cc[-2:0:-1]:
+        p = (p + c) * x
+    return cc[0] + p
+
+
+def _ppnd(p: float) -> float:
+    """Normal quantile by AS 111 (Beasley and Springer, 1977)."""
+    q = p - 0.5
+    if abs(q) <= 0.42:
+        r = q * q
+        return q * (((-25.44106049637 * r + 41.39119773534) * r - 18.61500062529) * r
+                    + 2.50662823884) / ((((3.13082909833 * r - 21.06224101826) * r
+                                          + 23.08336743743) * r - 8.47351093090) * r + 1.0)
+    r = 1.0 - p if q > 0.0 else p
+    if r <= 0.0:
+        return 0.0
+    r = math.sqrt(-math.log(r))
+    v = (((2.32121276858 * r + 4.85014127135) * r - 2.29796479134) * r
+         - 2.78718931138) / ((1.63706781897 * r + 3.54388924762) * r + 1.0)
+    return -v if q < 0.0 else v
+
+
+def _normal_upper_tail(x: float) -> float:
+    """P(Z > x) by AS 66 (Hill, 1973), cut to 0 beyond z = 7 on the lower
+    side and z = 38 on the upper."""
+    upper = x >= 0.0  # false for nan, whose tail is then 1
+    z = x if upper else -x
+    if not (z <= 7.0 or upper and z <= 38.0):
+        tail = 0.0
+    elif z > 1.28:
+        tail = 0.398942280385 * math.exp(-0.5 * z * z) / (
+            z - 3.8052e-8 + 1.00000615302 / (
+                z + 3.98064794e-4 + 1.98615381364 / (
+                    z - 0.151679116635 + 5.29330324926 / (
+                        z + 4.8385912808 - 15.1508972451 / (
+                            z + 0.742380924027 + 30.789933034 / (z + 3.99019417011))))))
+    else:
+        y = 0.5 * z * z
+        tail = 0.5 - z * (0.398942280444 - 0.399903438504 * y / (
+            y + 5.75885480458 - 29.8213557808 / (
+                y + 2.62433121679 + 48.6959930692 / (y + 5.92885724438))))
+    return tail if upper else 1.0 - tail
+
+
+def _swilk(x: list[float]) -> tuple[float, float]:
+    """W and p of AS R94 for an ascending sample of 3 or more values.
+
+    Scalar loops in the algorithm's own order: every sum rounds as it does in
+    scipy, so W and p match scipy.stats.shapiro bit for bit.
+    """
+    n = len(x)
+    nn2 = n // 2
+    an = float(n)
+    # Coefficients a[0..nn2-1] of the order statistics, largest weight first.
+    if n == 3:
+        a = [math.sqrt(2.0) / 2.0]
+    else:
+        an25 = an + 0.25
+        m = [_ppnd((i - 0.375) / an25) for i in range(1, nn2 + 1)]
+        summ2 = 0.0
+        for mi in m:
+            summ2 += mi * mi
+        summ2 *= 2.0
+        ssumm2 = math.sqrt(summ2)
+        rsn = 1.0 / math.sqrt(an)
+        a1 = _poly(_SW_C1, rsn) - m[0] / ssumm2
+        if n > 5:
+            a2 = -m[1] / ssumm2 + _poly(_SW_C2, rsn)
+            fac = math.sqrt((summ2 - 2.0 * (m[0] * m[0]) - 2.0 * (m[1] * m[1]))
+                            / (1.0 - 2.0 * (a1 * a1) - 2.0 * (a2 * a2)))
+            head = [a1, a2]
+        else:
+            fac = math.sqrt((summ2 - 2.0 * (m[0] * m[0])) / (1.0 - 2.0 * (a1 * a1)))
+            head = [a1]
+        rfac = 1.0 / fac
+        a = head + [-mi * rfac for mi in m[len(head):]]
+
+    rangex = x[-1] - x[0]
+    if rangex < _SW_SMALL:
+        warnings.warn("Shapiro-Wilk sample range below 1e-19; W and p set to 1",
+                      stacklevel=3)
+        return 1.0, 1.0
+    # Means of the antisymmetric coefficient vector and of the scaled sample.
+    sx = x[0] / rangex
+    sa = -a[0]
+    j = n - 2
+    for i in range(1, n):
+        sx += x[i] / rangex
+        if i != j:
+            sa += a[min(i, j)] if i > j else -a[min(i, j)]
+        j -= 1
+    sa /= n
+    sx /= n
+    ssa = ssx = sax = 0.0
+    j = n - 1
+    for i in range(n):
+        if i != j:
+            asa = (a[min(i, j)] if i > j else -a[min(i, j)]) - sa
+        else:
+            asa = -sa
+        xsx = x[i] / rangex - sx
+        ssa += asa * asa
+        ssx += xsx * xsx
+        sax += asa * xsx
+        j -= 1
+    # 1 - W as a difference of squares, exact for W near 1.
+    ssassx = math.sqrt(ssa * ssx)
+    w1 = (ssassx - sax) * (ssassx + sax) / (ssa * ssx)
+    w = 1.0 - w1
+
+    # Rounding can leave w1 at or just below 0, so W at or just above 1.
+    if n == 3:  # exact
+        return w, max(1.0 - 6.0 / math.pi * math.acos(min(math.sqrt(w), 1.0)), 0.0)
+    y = math.log(w1) if w1 > 0.0 else -math.inf if w1 == 0.0 else math.nan
+    if n <= 11:
+        gamma = _poly(_SW_G, an)
+        if y >= gamma:
+            return w, _SW_SMALL
+        y = -math.log(gamma - y)
+        mean = _poly(_SW_C3, an)
+        sd = math.exp(_poly(_SW_C4, an))
+    else:
+        log_n = math.log(an)
+        mean = _poly(_SW_C5, log_n)
+        sd = math.exp(_poly(_SW_C6, log_n))
+    return w, _normal_upper_tail((y - mean) / sd)
 
 
 def diagnostics(x, residuals) -> DiagnosticReport:

@@ -143,9 +143,24 @@ class TestScipyOnDemand:
         assert codes == [0] * len(commands)
         assert "scipy.stats" not in modules
 
-    def test_bridge_loads_scipy_stats(self, tmp_path):
-        codes, modules = _fresh_main([["bridge", "--out", str(tmp_path / "out")]])
-        assert codes == [0] and "scipy.stats" in modules
+    def test_bridge_and_report_load_no_scipy_stats(self, tmp_path):
+        commands = [
+            ["bridge", "--out", str(tmp_path / "bridge")],
+            ["report", "--scenario-ratio", "0.1", "--out", str(tmp_path / "report")],
+        ]
+        codes, modules = _fresh_main(commands)
+        assert codes == [0, 0]
+        assert "scipy.special" in modules
+        assert not [m for m in modules if m.split(".")[:2] == ["scipy", "stats"]]
+
+
+class TestWarnings:
+    def test_ratio_above_explored_range_is_one_warning_line(self, tmp_path, capsys):
+        code = main(["scenario", "--scenario-ratio", "0.3", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning [lca]: reduction ratio 0.3 exceeds the explored range (0.25/year)"
+        ]
 
 
 class TestScenarioCompare:
@@ -586,6 +601,22 @@ class TestInputBoundary:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [pipeline]: no post-2019 systems")
         assert list(tmp_path.iterdir()) == [systems]  # neither out nor its staging directory
+
+    def test_failed_run_removes_the_parents_of_out_it_made(self, tmp_path, capsys, monkeypatch):
+        header, *rows = _bundled("systems_sample.csv").decode("utf-8").splitlines(keepends=True)
+        systems = tmp_path / "systems.csv"
+        systems.write_text(
+            header + "".join(row for row in rows if row.split(",")[1] < "2019"), encoding="utf-8"
+        )
+        (tmp_path / "kept").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for out in ("f2/a/b/out", "kept/a/out"):
+            code = main(["report", "--systems", str(systems), "--scenario-ratio", "0.1",
+                         "--out", out])
+            assert code == 1
+        assert "error [pipeline]: no post-2019 systems" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "systems.csv"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_outputs_join_an_existing_out_directory(self, tmp_path, capsys):
         out = tmp_path / "out"

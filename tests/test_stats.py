@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -247,6 +248,93 @@ class TestShapiroWilk:
             shapiro_wilk([1.0, 2.0])
         with pytest.raises(DegenerateDataError):
             shapiro_wilk([3.0, 3.0, 3.0, 3.0])
+        with pytest.raises(StatsError, match="overflows"):
+            shapiro_wilk([-1e308, 0.0, 1e308])
+
+
+def _oracle_shapiro(sample) -> tuple[float, float]:
+    from scipy.stats import shapiro
+
+    w, p = shapiro(sample)
+    return float(w), float(p)
+
+
+_SW_SIZES = [*range(3, 61), 100, 500, 1000, 2500, 5000]
+_SW_KINDS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "cauchy": lambda rng, n: rng.standard_cauchy(size=n),
+    "tied": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "lognormal": lambda rng, n: rng.lognormal(size=n) * 1e6,
+}
+
+
+class TestShapiroWilkMatchesScipy:
+    """The pure-Python AS R94 port equals scipy.stats.shapiro bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_SW_KINDS))
+    def test_every_size_and_sample_kind(self, kind):
+        rng = np.random.default_rng(sorted(_SW_KINDS).index(kind))
+        for n in _SW_SIZES:
+            sample = _SW_KINDS[kind](rng, n)
+            if np.ptp(sample) == 0.0:  # a tied draw can be constant at n = 3
+                continue
+            assert shapiro_wilk(sample) == _oracle_shapiro(sample), (kind, n)
+
+    def test_far_upper_tail_of_a_large_cauchy_sample(self):
+        # z lies between AS 66's textbook cut-off (18.66) and scipy's (38).
+        sample = np.random.default_rng(0).standard_cauchy(size=5000)
+        w, p = shapiro_wilk(sample)
+        assert 0.0 < p < 1e-80
+        assert (w, p) == _oracle_shapiro(sample)
+
+    def test_samples_on_the_coefficients_where_w_rounds_to_one(self):
+        swilk = pytest.importorskip("scipy.stats._ansari_swilk_statistics").swilk
+        at_or_above_one = 0
+        for n in [*range(3, 40), 1000, 5000]:
+            a = np.zeros(n // 2)
+            swilk(np.arange(float(n)), a, False)  # fills the AS R94 coefficients
+            sample = 7.77 * np.concatenate([-a, np.zeros(n % 2), a[::-1]]) + 0.5
+            at_or_above_one += _oracle_shapiro(sample)[0] >= 1.0
+            assert shapiro_wilk(sample) == _oracle_shapiro(sample), n
+        assert at_or_above_one > 0  # the log(1 - W) <= 0 path ran
+
+    def test_sample_range_below_1e_19(self):
+        sample = [0.0, 1e-20, 3e-20, 2e-20]
+        with pytest.warns(UserWarning, match="range"):
+            assert shapiro_wilk(sample) == _oracle_shapiro(sample) == (1.0, 1.0)
+
+
+class TestTailsMatchScipyStats:
+    """The scipy.special tails equal the scipy.stats calls they replace."""
+
+    def test_f_pvalue(self):
+        from scipy.stats import f
+
+        rng = np.random.default_rng(5)
+        grid = np.concatenate([[0.0, 1e-300], 10.0 ** rng.uniform(-12, 4, 200),
+                               rng.uniform(0.0, 50.0, 100)])
+        fit = wls_fit([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 3.0, 2.0])
+        for dof in [*range(1, 40), 100, 4998]:
+            for f_stat in grid:
+                result = dataclasses.replace(fit, f_statistic=float(f_stat), f_df=(1, dof))
+                assert result.f_pvalue == float(f.sf(f_stat, 1, dof)), (f_stat, dof)
+
+    def test_rounding_negative_f_has_p_one(self):
+        fit = wls_fit([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 3.0, 2.0])
+        assert dataclasses.replace(fit, f_statistic=-1e-15).f_pvalue == 1.0
+
+    def test_breusch_pagan_and_durbin_watson(self):
+        from scipy.stats import chi2, norm
+
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(3, 200))
+            x = rng.normal(size=n)
+            e = rng.standard_t(3.0, size=n) * (1.0 + float(rng.uniform(0.0, 2.0)) * np.abs(x))
+            stat, p = breusch_pagan_studentized(x, e)
+            assert p == float(chi2.sf(stat, 1))
+            d, p = durbin_watson(e)
+            assert p == float(norm.cdf((d - 2.0) / (2.0 / math.sqrt(n))))
 
 
 class TestExpTrend:
