@@ -195,12 +195,16 @@ _SUBCOMMANDS = {
 }
 
 
+def _module_label(filename) -> str:
+    """The package module a file is, or pipeline for any other file."""
+    where = Path(filename)
+    return where.stem if where.parent == Path(__file__).parent else "pipeline"
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """Prints a warning as one `warning [module]: …` line on stderr, labelled
-    by the package module it is attributed to (pipeline for any other)."""
-    where = Path(filename)
-    stage = where.stem if where.parent == Path(__file__).parent else "pipeline"
-    print(f"warning [{stage}]: {message}", file=sys.stderr)
+    by the package module it is attributed to."""
+    print(f"warning [{_module_label(filename)}]: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -217,6 +221,12 @@ def main(argv=None) -> int:
                 stage = label
                 break
         print(f"error [{stage}]: {exc}", file=sys.stderr)
+        return 1
+    except Warning as exc:  # a filter such as -W error raised it; label its innermost frame
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        print(f"error [{_module_label(tb.tb_frame.f_code.co_filename)}]: {exc}", file=sys.stderr)
         return 1
     return 0
 

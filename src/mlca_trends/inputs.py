@@ -95,7 +95,13 @@ def parse_date(cell: str, column: str) -> dt.date:
 
 def format_cell(value) -> str:
     """A CSV cell: blank for None, 12 significant digits for a float, an ISO
-    date for a date, str() for anything else."""
+    date for a date, str() for anything else. Exact str and float cells take
+    the fast path; float subclasses such as numpy.float64 format alike."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is float:
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, float):
@@ -110,5 +116,4 @@ def write_csv(path, header, rows) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
+        writer.writerows(map(format_cell, row) for row in rows)

@@ -10,6 +10,10 @@ modeled with zero impact and zero energy so results stay comparable with
 card-only accounting; an extended memory model can be added behind a factor
 entry later.
 
+`system_impact` runs the model's formulas in plain floats, in their order.
+What depends on the card alone, its server profile and production-plus-CPU
+vector, is computed once per card for a whole `impact_stage` pass.
+
 A carbon-intensity scenario multiplies a mix's intensity by (1-ratio)^n,
 n being the whole years since 2019 at system release, with ratio in [0, 1].
 `scenario_gwp` applies it to a system's reference usage phase only (the
@@ -71,11 +75,7 @@ class ImpactVector:
     COMPONENTS = ("energy_kwh", "gwp_kg", "adpe_kgsb")
 
     def __post_init__(self):
-        for component in self.COMPONENTS:
-            if not 0 <= getattr(self, component) < math.inf:  # also false for nan
-                raise ValueError(
-                    f"{component} must be finite and >= 0, got {getattr(self, component)}"
-                )
+        _nonnegative(self.energy_kwh, self.gwp_kg, self.adpe_kgsb)
 
     def __add__(self, other: "ImpactVector") -> "ImpactVector":
         return ImpactVector(
@@ -97,6 +97,14 @@ class ImpactVector:
     @classmethod
     def zero(cls) -> "ImpactVector":
         return cls(0.0, 0.0, 0.0)
+
+
+def _nonnegative(*components: float) -> tuple[float, ...]:
+    """The (energy, GWP, ADPe) components, once each is finite and >= 0."""
+    for name, value in zip(ImpactVector.COMPONENTS, components):
+        if not 0 <= value < math.inf:  # also false for nan
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return components
 
 
 @dataclass(frozen=True)
@@ -136,23 +144,27 @@ class ServerProfileTable:
 
     Rules match when the pattern's tokens appear contiguously in the
     normalized card name; first matching rule wins, else the default
-    (workstation-style) profile applies.
+    (workstation-style) profile applies; memoized by normalized name.
     """
 
     default: ServerProfile
     rules: tuple[tuple[str, ServerProfile], ...] = ()
     _rule_tokens: tuple = field(init=False, repr=False, compare=False)
+    _selected: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):  # rule patterns are normalized once, here
         tokens = tuple((normalize_name(p).split(), profile) for p, profile in self.rules)
         object.__setattr__(self, "_rule_tokens", tokens)
 
     def select(self, card: CardSpec) -> ServerProfile:
-        name_tokens = card.normalized_name.split()
-        for tokens, profile in self._rule_tokens:
-            if contains_tokens(name_tokens, tokens):
-                return profile
-        return self.default
+        name = card.normalized_name
+        if name not in self._selected:
+            name_tokens = name.split()
+            self._selected[name] = next(
+                (p for tokens, p in self._rule_tokens if contains_tokens(name_tokens, tokens)),
+                self.default,
+            )
+        return self._selected[name]
 
 
 @dataclass(frozen=True)
@@ -335,12 +347,18 @@ def amortized_embodied(
     zero: production energy is already embedded in the GWP/ADPe factors,
     not metered as kWh.
     """
+    share = _amortized_cards(quantity, training_hours, constants)
+    return card_impact.scale(share).replace_energy(0.0)
+
+
+def _amortized_cards(quantity: int, training_hours: float, constants: LcaConstants) -> float:
+    """quantity * min(1, training_hours / amortizable hours): the number of
+    whole devices whose production one training run is attributed."""
     if training_hours <= 0:
         raise LcaError(f"training_hours must be > 0, got {training_hours}")
     if quantity < 1:
         raise LcaError(f"quantity must be >= 1, got {quantity}")
-    share = min(1.0, training_hours / constants.amortizable_hours)
-    return card_impact.scale(quantity * share).replace_energy(0.0)
+    return quantity * min(1.0, training_hours / constants.amortizable_hours)
 
 
 def training_energy(
@@ -365,13 +383,14 @@ def training_energy(
 
 def usage_impact(energy_kwh: float, mix: ElectricityMix) -> ImpactVector:
     """Impacts of consuming energy_kwh from the given electricity mix."""
+    return ImpactVector(energy_kwh, *_usage(energy_kwh, mix))
+
+
+def _usage(energy_kwh: float, mix: ElectricityMix) -> tuple[float, float]:
+    """(GWP, ADPe) of consuming energy_kwh from the mix."""
     if energy_kwh < 0:
         raise LcaError(f"energy must be >= 0, got {energy_kwh}")
-    return ImpactVector(
-        energy_kwh=energy_kwh,
-        gwp_kg=energy_kwh * mix.carbon_intensity_g_per_kwh / 1000.0,
-        adpe_kgsb=energy_kwh * mix.adpe_kgsb_per_kwh,
-    )
+    return energy_kwh * mix.carbon_intensity_g_per_kwh / 1000.0, energy_kwh * mix.adpe_kgsb_per_kwh
 
 
 def apply_ci_scenario(
@@ -394,23 +413,13 @@ def apply_ci_scenario(
     return carbon_intensity * (1.0 - ratio) ** n
 
 
-def _embodied_for(
-    card: CardSpec,
-    hours: float,
-    quantity: int | None,
-    server: ServerProfile,
-    factors: ImpactFactors,
-    constants: LcaConstants,
-) -> ImpactVector:
-    per_card = production_impact(card, factors) + factors.cpu_production.scale(
-        server.cpus_per_gpu
-    )
-    if quantity is not None:
-        return amortized_embodied(per_card, quantity, hours / quantity, constants)
-    # Quantity unknown: total device-hours over amortizable hours. Equals the
-    # capped formula whenever each card's duration stays below its
-    # amortizable life, which holds for training runs shorter than it.
-    return per_card.scale(hours / constants.amortizable_hours).replace_energy(0.0)
+def _card_constants(card: CardSpec, server_profiles: ServerProfileTable, factors: ImpactFactors):
+    """(server profile, production-plus-CPU vector or None without die area or memory)."""
+    server = server_profiles.select(card)
+    if card.die_area_mm2 is None or card.memory_gb is None:
+        return server, None
+    cpus = factors.cpu_production.scale(server.cpus_per_gpu)
+    return server, production_impact(card, factors) + cpus
 
 
 def system_impact(
@@ -421,6 +430,7 @@ def system_impact(
     server_profiles: ServerProfileTable,
     factors: ImpactFactors,
     constants: LcaConstants,
+    card_constants: dict | None = None,
 ) -> SystemImpact:
     """Total impacts of one training run, with ambiguity intervals.
 
@@ -430,58 +440,61 @@ def system_impact(
     without a listed country fall back to the world-average pseudo-country.
     Candidate cards missing the fields needed for the model are skipped
     unless they are the reference.
+
+    A total is the usage impact of training_energy plus the card's production
+    and CPU vector scaled by _amortized_cards or, quantity unknown, by
+    device-hours over amortizable hours, its energy zeroed. card_constants
+    memoizes each card's (server, vector) over calls sharing the tables.
     """
     countries = [c.strip().upper() for c in (system.countries or (WORLD_MIX_CODE,))]
     for code in countries:
         if code not in mixes:
             raise UnknownCountryError(code)
+    hours_by_card = None if estimate.per_card is None else dict(estimate.per_card)
+    quantity = system.hardware_quantity
+    card_constants = {} if card_constants is None else card_constants
 
-    hours_by_card: dict[str, float] = (
-        dict(estimate.per_card)
-        if estimate.per_card is not None
-        else {card.name: estimate.value for card in card_ref.candidates}
-    )
-
-    totals: dict[tuple[str, str], ImpactVector] = {}
-    embodied_by_card: dict[str, ImpactVector] = {}
+    totals: dict[tuple[str, str], tuple[float, float, float]] = {}
+    embodied_by_card: dict[str, tuple[float, float]] = {}
     for card in card_ref.candidates:
-        if card.name not in hours_by_card:
+        hours = estimate.value if hours_by_card is None else hours_by_card.get(card.name)
+        if hours is None:
             continue  # no usable peak for this candidate; already skipped upstream
-        hours = hours_by_card[card.name]
-        server = server_profiles.select(card)
+        if card not in card_constants:
+            card_constants[card] = _card_constants(card, server_profiles, factors)
+        server, per_card = card_constants[card]
         try:
             energy = training_energy(hours, card, server, constants)
-            embodied = _embodied_for(
-                card, hours, system.hardware_quantity, server, factors, constants
-            )
+            if per_card is None:
+                production_impact(card, factors)  # raises the missing-field error
         except CannotEstimateError:
             if card is card_ref.reference:
                 raise
             continue
-        embodied_by_card[card.name] = embodied
+        share = (hours / constants.amortizable_hours if quantity is None
+                 else _amortized_cards(quantity, hours / quantity, constants))
+        _, gwp, adpe = _nonnegative(
+            per_card.energy_kwh * share, per_card.gwp_kg * share, per_card.adpe_kgsb * share
+        )
+        embodied_by_card[card.name] = (gwp, adpe)
         for code in countries:
-            totals[(card.name, code)] = usage_impact(energy, mixes[code]) + embodied
+            usage_gwp, usage_adpe = _usage(energy, mixes[code])
+            totals[(card.name, code)] = _nonnegative(energy, usage_gwp + gwp, usage_adpe + adpe)
 
     ref_key = (card_ref.reference.name, countries[0])
     if ref_key not in totals:
         raise LcaError(
             f"system {system.name!r}: reference combination {ref_key} could not be evaluated"
         )
-    total_ref = totals[ref_key]
-
-    def envelope(component: str) -> EstimateInterval:
-        values = [getattr(v, component) for v in totals.values()]
-        return EstimateInterval(
-            min(values), getattr(total_ref, component), max(values)
-        )
-
+    total_ref = ImpactVector(*totals[ref_key])
+    energies, gwps, adpes = zip(*totals.values())
     return SystemImpact(
         system_name=system.name,
         publication_date=system.publication_date,
-        energy_kwh=envelope("energy_kwh"),
-        gwp_kg=envelope("gwp_kg"),
-        adpe_kgsb=envelope("adpe_kgsb"),
-        embodied_ref=embodied_by_card[card_ref.reference.name],
+        energy_kwh=EstimateInterval(min(energies), total_ref.energy_kwh, max(energies)),
+        gwp_kg=EstimateInterval(min(gwps), total_ref.gwp_kg, max(gwps)),
+        adpe_kgsb=EstimateInterval(min(adpes), total_ref.adpe_kgsb, max(adpes)),
+        embodied_ref=ImpactVector(0.0, *embodied_by_card[card_ref.reference.name]),
         total_ref=total_ref,
         method=estimate.method,
         mix_ref=mixes[countries[0]],

@@ -296,9 +296,11 @@ def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
 
 
 def impact_stage(bundle: Bundle, estimate_rows):
-    """Impacts for every estimated system whose hardware resolved."""
+    """Impacts for every estimated system whose hardware resolved; each
+    card's constants are computed once for the whole pass."""
     impacts: list[SystemImpact] = []
     skipped = []
+    card_constants = {}
     for system, card_ref, estimate in estimate_rows:
         if card_ref is None:
             skipped.append(
@@ -315,6 +317,7 @@ def impact_stage(bundle: Bundle, estimate_rows):
                     bundle.server_profiles,
                     bundle.factors,
                     bundle.constants,
+                    card_constants,
                 )
             )
         except (CannotEstimateError, UnknownCountryError) as exc:

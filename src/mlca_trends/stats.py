@@ -28,7 +28,7 @@ import datetime as _dt
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -403,12 +403,18 @@ def diagnostics(x, residuals) -> DiagnosticReport:
 
 
 def to_fractional_year(when) -> float:
-    """Calendar date -> fractional year via (day_of_year - 1)/365.25."""
+    """Calendar date (or datetime) -> fractional year via
+    (day_of_year - 1)/365.25, memoized per date; a number passes as a float."""
+    if isinstance(when, _dt.date):
+        return _date_to_year(when)
     if isinstance(when, (int, float)):
         return float(when)
-    if isinstance(when, (_dt.date, _dt.datetime)):
-        return when.year + (when.timetuple().tm_yday - 1) / 365.25
     raise StatsError(f"cannot interpret {when!r} as a date or year")
+
+
+@cache
+def _date_to_year(when: _dt.date) -> float:
+    return when.year + (when.timetuple().tm_yday - 1) / 365.25
 
 
 def exp_trend(series, weighting: str = "ols") -> TrendFit:

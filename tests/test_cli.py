@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,17 @@ class TestWarnings:
         assert capsys.readouterr().err.splitlines() == [
             "warning [lca]: reduction ratio 0.3 exceeds the explored range (0.25/year)"
         ]
+
+    def test_warning_raised_as_an_error_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "a" / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as `python -W error` does
+            code = main(["scenario", "--scenario-ratio", "0.3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error [lca]: reduction ratio 0.3 exceeds the explored range (0.25/year)"
+        ]
+        assert not (tmp_path / "a").exists()
 
 
 class TestScenarioCompare:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mlca_trends.catalog import CardReference
+from mlca_trends.catalog import CardReference, normalize_name, parse_card_table
 from mlca_trends.errors import CannotEstimateError, LcaError, UnknownCountryError
 from mlca_trends.estimation import estimate_gpu_hours, gpu_hours_direct
 from mlca_trends.lca import (
@@ -17,12 +17,14 @@ from mlca_trends.lca import (
     amortized_embodied,
     apply_ci_scenario,
     embodied_share_table,
+    load_server_profiles,
     production_impact,
     scenario_gwp,
     system_impact,
     training_energy,
     usage_impact,
 )
+from mlca_trends.pipeline import default_data_path
 from mlca_trends.systems import SystemRecord
 from tests.conftest import make_card
 
@@ -376,6 +378,26 @@ class TestServerProfiles:
         assert table.select(make_card("TPU v3")) is tpu_profile
         assert table.select(make_card("GeForce GTX 1080 Ti")) is consumer
         assert table.select(make_card("Tesla V100 PCIe 16 GB")) is workstation_server
+
+    def test_memoized_select_is_the_first_matching_rule_for_every_bundled_card(self):
+        table = load_server_profiles(default_data_path("server_profiles.json"))
+        cards = [card for name, source in (("cards_nvidia_workstation.csv", "techpowerup"),
+                                           ("cards_other.csv", "other"))
+                 for card in parse_card_table(default_data_path(name), source)[0]]
+
+        def first_match(card):
+            words = normalize_name(card.name).split()
+            for pattern, profile in table.rules:
+                tokens = normalize_name(pattern).split()
+                if any(words[i:i + len(tokens)] == tokens for i in range(len(words))):
+                    return profile
+            return table.default
+
+        assert len(cards) > 80
+        for _ in range(2):  # the second pass reads the memo
+            for card in cards:
+                assert table.select(card) is first_match(card), card.name
+        assert {table.select(card) for card in cards} != {table.default}
 
 
 class TestEmbodiedShares:

@@ -88,6 +88,54 @@ def _impact(case, mixes=MIXES):
     return system_impact(*case, mixes, SERVERS, FACTORS, CONSTANTS)
 
 
+def _restated(system, estimate, card_ref):
+    """(intervals, embodied_ref, total_ref) as (energy, GWP, ADPe) tuples,
+    restated in scalars from the formulas of lca.py's docstrings, in their
+    operation order; every drawn card has the fields the model needs."""
+    c = CONSTANTS
+    amortizable = c.lifespan_hours * c.avg_lifetime_utilization
+    countries = [code.strip().upper() for code in (system.countries or ("WLD",))]
+    hours = dict(estimate.per_card or ((card.name, estimate.value) for card in card_ref.candidates))
+    quantity = system.hardware_quantity
+    totals, embodied = {}, {}
+    for card in card_ref.candidates:
+        h = hours[card.name]
+        server = SERVERS.select(card)
+        cpus_per_gpu = server.cpus_per_server / server.gpus_per_server
+        gpu_wh = h * card.tdp_w * c.training_usage
+        cpu_wh = h * cpus_per_gpu * server.cpu_tdp_w * c.training_usage
+        energy = (gpu_wh + cpu_wh) * c.pue / 1000.0
+        if quantity is None:
+            share = h / amortizable
+        else:
+            share = quantity * min(1.0, h / quantity / amortizable)
+        f = FACTORS
+        per_card = [
+            getattr(f.logic_per_cm2, k) * (card.die_area_mm2 / 100.0)
+            + getattr(f.memory_per_gb, k) * card.memory_gb + getattr(f.board_base, k)
+            + getattr(f.cpu_production, k) * cpus_per_gpu
+            for k in ("energy_kwh", "gwp_kg", "adpe_kgsb")
+        ]
+        embodied[card.name] = (0.0, per_card[1] * share, per_card[2] * share)
+        for code in countries:
+            mix = MIXES[code]
+            totals[(card.name, code)] = (
+                energy,
+                energy * mix.carbon_intensity_g_per_kwh / 1000.0 + embodied[card.name][1],
+                energy * mix.adpe_kgsb_per_kwh + embodied[card.name][2],
+            )
+    ref = totals[(card_ref.reference.name, countries[0])]
+    intervals = [
+        (min(v[i] for v in totals.values()), ref[i], max(v[i] for v in totals.values()))
+        for i in range(3)
+    ]
+    return intervals, embodied[card_ref.reference.name], ref
+
+
+def _components(vector):
+    return (vector.energy_kwh, vector.gwp_kg, vector.adpe_kgsb)
+
+
 @PROPERTY
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1), st.data())
 def test_candidate_envelope_holds_its_reference(values, data):
@@ -104,6 +152,17 @@ def test_impact_intervals_ordered_and_embodied_within_total(case):
         assert interval.min <= interval.reference <= interval.max
     assert impact.embodied_ref.gwp_kg <= impact.total_ref.gwp_kg
     assert impact.embodied_ref.adpe_kgsb <= impact.total_ref.adpe_kgsb
+
+
+@PROPERTY
+@given(impact_cases())
+def test_system_impact_equals_the_scalar_model_bit_for_bit(case):
+    impact = _impact(case)
+    intervals, embodied_ref, total_ref = _restated(*case)
+    assert [(i.min, i.reference, i.max)
+            for i in (impact.energy_kwh, impact.gwp_kg, impact.adpe_kgsb)] == intervals
+    assert _components(impact.embodied_ref) == embodied_ref
+    assert _components(impact.total_ref) == total_ref
 
 
 @PROPERTY
