@@ -26,6 +26,7 @@ __all__ = [
     "MergeReport",
     "DivergentField",
     "CardReference",
+    "CardIndex",
     "normalize_name",
     "parse_card_table",
     "serialize_card_table",
@@ -295,8 +296,6 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
                         resolution="datasheet-override" if override is not None else "unresolved",
                     )
                 )
-                if override is not None:
-                    updates[field] = override
         # Fill remaining absent non-compared fields from the second source.
         for field in ("memory_type", "peak_fp64", "peak_fp32", "peak_fp16", "peak_tensor"):
             if getattr(card_a, field) is None and getattr(card_b, field) is not None:
@@ -317,7 +316,10 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
             raise CatalogError(f"override table references unknown card name {key!r}")
         i = merged_by_key[key]
         if getattr(merged[i], field) != value:
-            merged[i] = replace(merged[i], **{field: value})
+            try:
+                merged[i] = replace(merged[i], **{field: value})
+            except ValueError as exc:  # say, a release date in the future
+                raise CatalogError(f"override for {key!r} {field}: {exc}") from None
 
     report = MergeReport(
         total_cards=len(merged), validated=validated, divergent=tuple(divergent)
@@ -341,6 +343,22 @@ def contains_tokens(name_tokens: list[str], query_tokens: list[str]) -> bool:
     )
 
 
+class CardIndex:
+    """The catalog's cards in order, by normalized name and by each name
+    token (as (card, name tokens) pairs), both lists in catalog order."""
+
+    def __init__(self, cards):
+        self.cards = list(cards)
+        self.by_name: dict[str, list[CardSpec]] = {}
+        self.by_token: dict[str, list[tuple[CardSpec, list[str]]]] = {}
+        for card in self.cards:
+            name = card.normalized_name
+            self.by_name.setdefault(name, []).append(card)
+            tokens = name.split()
+            for token in dict.fromkeys(tokens):
+                self.by_token.setdefault(token, []).append((card, tokens))
+
+
 def resolve_card_reference(query: str, catalog, plausibility=None) -> CardReference:
     """Resolve a (possibly ambiguous) card name against the catalog.
 
@@ -348,18 +366,21 @@ def resolve_card_reference(query: str, catalog, plausibility=None) -> CardRefere
     the query tokens contiguously ("A100" -> all A100 variants) becomes a
     candidate. The reference is the first plausibility-config entry present
     among the candidates, falling back to the earliest-released variant.
-    Deterministic for a fixed config.
+    Deterministic for a fixed config. catalog is a CardIndex (build one to
+    resolve many names) or cards to index: an exact match is one dict
+    lookup, and containment walks the rarest query token's posting list.
     """
-    cards = list(catalog)
-    if not cards:
+    index = catalog if isinstance(catalog, CardIndex) else CardIndex(catalog)
+    if not index.cards:
         raise CatalogError("cannot resolve against an empty catalog")
     nq = normalize_name(query)
     if not nq:
         raise UnresolvedCardError(query)
-    candidates = [c for c in cards if c.normalized_name == nq]
+    candidates = index.by_name.get(nq)
     if not candidates:
         q_tokens = nq.split()
-        candidates = [c for c in cards if contains_tokens(c.normalized_name.split(), q_tokens)]
+        postings = min((index.by_token.get(t, ()) for t in q_tokens), key=len)
+        candidates = [card for card, tokens in postings if contains_tokens(tokens, q_tokens)]
     if not candidates:
         raise UnresolvedCardError(query)
 

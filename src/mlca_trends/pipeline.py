@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import (
+    CardIndex,
     CardReference,
     CardSpec,
     MergeReport,
@@ -320,7 +322,8 @@ def impact_stage(bundle: Bundle, estimate_rows):
                     card_constants,
                 )
             )
-        except (CannotEstimateError, UnknownCountryError) as exc:
+        except (CannotEstimateError, UnknownCountryError, ValueError) as exc:
+            # ValueError: a footprint overflowed to inf, which impacts reject
             skipped.append((system.name, str(exc)))
     return impacts, skipped
 
@@ -456,14 +459,13 @@ class Run:
     def card_refs(self) -> dict[str, CardReference | None]:
         """One resolution per distinct hardware string of the eligible
         systems (each names one at most); None where no card matches."""
+        index = CardIndex(self.bundle.full_catalog)
         refs = {}
         for system in self.eligibility[0]:
             if system.hardware_names and system.hardware_names[0] not in refs:
                 name = system.hardware_names[0]
                 try:
-                    refs[name] = resolve_card_reference(
-                        name, self.bundle.full_catalog, self.bundle.plausibility
-                    )
+                    refs[name] = resolve_card_reference(name, index, self.bundle.plausibility)
                 except UnresolvedCardError:
                     refs[name] = None
         return refs
@@ -657,6 +659,8 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
     out = Path(config.out)
     created = [d for d in (out, *out.parents) if not os.path.exists(d)]  # deepest first
     run = Run(config)
+    gc_enabled = gc.isenabled()
+    gc.disable()  # the run's records hold no reference cycles; collections only rescan them
     try:
         try:
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -683,6 +687,9 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
             with contextlib.suppress(OSError):  # not empty, or never made
                 directory.rmdir()
         raise
+    finally:
+        if gc_enabled:
+            gc.enable()
     return run
 
 

@@ -1,11 +1,17 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlca_trends import catalog as catalog_module
 from mlca_trends.catalog import (
     CARD_COLUMNS,
+    CardIndex,
+    CardReference,
     CardSpec,
     characteristic_series,
+    contains_tokens,
     load_overrides,
     load_plausibility,
     merge_catalogs,
@@ -15,6 +21,7 @@ from mlca_trends.catalog import (
     serialize_card_table,
 )
 from mlca_trends.errors import CatalogError, UnresolvedCardError
+from mlca_trends.pipeline import default_data_path
 from tests.conftest import make_card
 
 HEADER = ",".join(CARD_COLUMNS)
@@ -175,6 +182,14 @@ class TestMerge:
         with pytest.raises(CatalogError, match="unknown card"):
             merge_catalogs([make_card("X")], [make_card("X")], {("ghost", "tdp_w"): 1.0})
 
+    @pytest.mark.parametrize(
+        "field, value", [("release_date", dt.date(2099, 12, 31)), ("tdp_w", -1.0)]
+    )
+    def test_override_the_card_rejects_is_a_catalog_error(self, field, value):
+        a, b = [make_card("X", tdp_w=250.0)], [make_card("X", tdp_w=300.0)]
+        with pytest.raises(CatalogError, match=f"override for 'x' {field}"):
+            merge_catalogs(a, b, {("x", field): value})
+
     def test_duplicate_names_within_one_input_rejected(self):
         with pytest.raises(CatalogError, match="duplicate"):
             merge_catalogs([make_card("X"), make_card("NVIDIA X")], [])
@@ -270,6 +285,111 @@ class TestResolve:
         for query in ("A100", "T4", "NVIDIA A100 SXM4 80 GB", "A100", "SXM4"):
             resolve_card_reference(query, a100_catalog)
         assert all(calls.count(card.name) == 1 for card in a100_catalog)
+
+
+def scan_resolve(query, cards, plausibility=None):
+    """The reference resolver: one linear scan of the catalog per query.
+    Exact normalized matches in catalog order, else every card whose name
+    holds the query tokens contiguously, in catalog order."""
+    cards = list(cards)
+    if not cards:
+        raise CatalogError("cannot resolve against an empty catalog")
+    nq = normalize_name(query)
+    if not nq:
+        raise UnresolvedCardError(query)
+    candidates = [c for c in cards if c.normalized_name == nq]
+    if not candidates:
+        q_tokens = nq.split()
+        candidates = [c for c in cards if contains_tokens(c.normalized_name.split(), q_tokens)]
+    if not candidates:
+        raise UnresolvedCardError(query)
+    by_name = {c.normalized_name: c for c in candidates}
+    reference = next((by_name[p] for p in (plausibility or {}).get(nq, []) if p in by_name), None)
+    if reference is None:
+        reference = min(candidates, key=lambda c: (c.release_date, c.normalized_name))
+    return CardReference(query_name=query, candidates=tuple(candidates), reference=reference)
+
+
+def outcome(resolve, *args):
+    """(candidate ids, reference id) of a resolution, or (error type, message)."""
+    try:
+        ref = resolve(*args)
+    except (CatalogError, UnresolvedCardError) as exc:
+        return type(exc), str(exc)
+    return tuple(map(id, ref.candidates)), id(ref.reference)
+
+
+# A small vocabulary, so that names share tokens, repeat them and collide
+# once normalized; "zz9" is on no card.
+TOKENS = ["a100", "sxm4", "80", "gb", "pcie", "T4", "tesla", "x", "A100-SXM4"]
+SEPARATORS = [" ", "  ", "-", "_", " / ", ", "]
+card_names = st.builds(
+    lambda vendor, tokens, seps: vendor + "".join(
+        token + seps[i % len(seps)] for i, token in enumerate(tokens)
+    ).rstrip(" /,-_"),
+    st.sampled_from(["", "NVIDIA ", "amd ", "Google-"]),
+    st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4),
+    st.lists(st.sampled_from(SEPARATORS), min_size=1, max_size=3),
+)
+card_specs = st.builds(
+    lambda name, day: make_card(name, release_date=dt.date(2020, 1, 1) + dt.timedelta(days=day)),
+    card_names, st.integers(0, 2),
+)
+query_strings = st.one_of(
+    card_names,
+    st.lists(st.sampled_from(TOKENS + ["zz9"]), min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["zz9", "NVIDIA", "--", "", "Tesla T4!", "a100 zz9"]),
+)
+
+
+class TestIndexedResolveEqualsTheScan:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(card_specs, max_size=12), st.lists(query_strings, min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_generated_catalogs(self, catalog, queries, data):
+        plausibility = {}
+        if catalog:
+            for query in queries[:2]:
+                picks = data.draw(st.lists(st.sampled_from(catalog), max_size=3))
+                plausibility[normalize_name(query)] = [c.normalized_name for c in picks]
+        index = CardIndex(catalog)
+        for query in queries:
+            expected = outcome(scan_resolve, query, catalog, plausibility)
+            assert outcome(resolve_card_reference, query, catalog, plausibility) == expected
+            assert outcome(resolve_card_reference, query, index, plausibility) == expected
+
+    def test_every_bundled_name_and_name_token(self):
+        catalog = []
+        for name in ("cards_nvidia_workstation.csv", "cards_other.csv"):
+            catalog += parse_card_table(default_data_path(name), "other")[0]
+        plausibility = load_plausibility(default_data_path("plausibility.json"))
+        index = CardIndex(catalog)
+        queries = {card.name for card in catalog}
+        queries |= {token for card in catalog for token in card.normalized_name.split()}
+        assert len(queries) > len(catalog)
+        for query in sorted(queries):
+            assert outcome(resolve_card_reference, query, index, plausibility) == outcome(
+                scan_resolve, query, catalog, plausibility
+            )
+
+    def test_family_query_walks_only_the_rarest_token_postings(self, a100_catalog, monkeypatch):
+        calls = []
+        original = catalog_module.contains_tokens
+
+        def counted(name_tokens, query_tokens):
+            calls.append(name_tokens)
+            return original(name_tokens, query_tokens)
+
+        monkeypatch.setattr(catalog_module, "contains_tokens", counted)
+        index = CardIndex(a100_catalog)
+        for query, rarest in (("A100", "a100"), ("SXM4 80", "80"), ("PCIe", "pcie")):
+            calls.clear()
+            postings = [c for c in a100_catalog if rarest in c.normalized_name.split()]
+            ref = resolve_card_reference(query, index)
+            assert len(calls) == len(postings) < len(a100_catalog)
+            assert ref.candidates == tuple(postings)
 
 
 class TestCharacteristicSeries:

@@ -512,6 +512,19 @@ class TestInputBoundary:
         assert counts["system_row_errors"] == 3
         assert counts["card_row_errors"] == 1
 
+    def test_an_impact_that_overflows_skips_the_system(self, tmp_path, capsys):
+        mixes = tmp_path / "mixes.csv"
+        mixes.write_text(
+            default_data_path("electricity_mixes.csv").read_text(encoding="utf-8")
+            .replace("\nUSA,380,", "\nUSA,1e308,"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["impacts", "--mixes", str(mixes), "--out", str(out)]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["impact_skips"] > 0
+        assert "inf" not in (out / "impacts.csv").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
         "flags",
         [
