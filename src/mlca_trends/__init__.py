@@ -35,7 +35,7 @@ from .lca import (  # noqa: F401
     ImpactVector,
     LcaConstants,
     ServerProfile,
-    amortized_embodied,
+    amortized_cards,
     apply_ci_scenario,
     embodied_share_table,
     production_impact,

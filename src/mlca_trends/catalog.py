@@ -153,14 +153,6 @@ class MergeReport:
     validated: int
     divergent: tuple[DivergentField, ...]
 
-    @property
-    def divergent_card_names(self) -> tuple[str, ...]:
-        seen = []
-        for entry in self.divergent:
-            if entry.name not in seen:
-                seen.append(entry.name)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class CardReference:

@@ -35,8 +35,3 @@ class EstimateInterval:
         if not values:
             raise ValueError("no candidate values")
         return cls(min(values), reference, max(values))
-
-    def scale(self, factor: float) -> "EstimateInterval":
-        if factor < 0:
-            raise ValueError("interval scaling factor must be non-negative")
-        return EstimateInterval(self.min * factor, self.reference * factor, self.max * factor)

@@ -2,17 +2,19 @@
 
 Impacts are (energy kWh, GWP kgCO2eq, ADPe kgSbeq) triples. Card production
 impacts follow a linear model in die area and memory size with a fixed
-per-board term; the factor table is configuration, not code, and carries a
-provenance label per entry. Usage impacts come from the electricity mix of
-the producing country; embodied impacts are amortized over the share of the
-hardware's useful life the training consumed. Server memory is deliberately
-modeled with zero impact and zero energy so results stay comparable with
-card-only accounting; an extended memory model can be added behind a factor
-entry later.
+per-board term; the factor table is configuration, not code. Usage impacts
+come from the electricity mix of the producing country; embodied impacts are
+amortized over the share of the hardware's useful life the training consumed.
+Server memory is deliberately modeled with zero impact and zero energy so
+results stay comparable with card-only accounting; an extended memory model
+can be added behind a factor entry later.
 
-`system_impact` runs the model's formulas in plain floats, in their order.
-What depends on the card alone, its server profile and production-plus-CPU
-vector, is computed once per card for a whole `impact_stage` pass.
+The model is stated once, in plain floats: `production_impact`,
+`amortized_cards`, `training_energy` and `usage_impact` are its formulas, and
+`system_impact` combines them in their order. `ImpactVector` is a validated
+record with no arithmetic. What depends on the card alone, its server profile
+and production-plus-CPU vector, is computed once per card for a whole
+`impact_stage` pass.
 
 A carbon-intensity scenario multiplies a mix's intensity by (1-ratio)^n,
 n being the whole years since 2019 at system release, with ratio in [0, 1].
@@ -51,7 +53,7 @@ __all__ = [
     "load_constants",
     "load_server_profiles",
     "production_impact",
-    "amortized_embodied",
+    "amortized_cards",
     "training_energy",
     "usage_impact",
     "apply_ci_scenario",
@@ -66,7 +68,7 @@ SCENARIO_BASE_YEAR = 2019
 
 @dataclass(frozen=True)
 class ImpactVector:
-    """Additive (energy, GWP, ADPe) triple; components never negative."""
+    """(energy, GWP, ADPe) triple; components finite and never negative."""
 
     energy_kwh: float = 0.0
     gwp_kg: float = 0.0
@@ -76,27 +78,6 @@ class ImpactVector:
 
     def __post_init__(self):
         _nonnegative(self.energy_kwh, self.gwp_kg, self.adpe_kgsb)
-
-    def __add__(self, other: "ImpactVector") -> "ImpactVector":
-        return ImpactVector(
-            self.energy_kwh + other.energy_kwh,
-            self.gwp_kg + other.gwp_kg,
-            self.adpe_kgsb + other.adpe_kgsb,
-        )
-
-    def scale(self, factor: float) -> "ImpactVector":
-        if factor < 0:
-            raise ValueError(f"impact scaling factor must be >= 0, got {factor}")
-        return ImpactVector(
-            self.energy_kwh * factor, self.gwp_kg * factor, self.adpe_kgsb * factor
-        )
-
-    def replace_energy(self, energy_kwh: float) -> "ImpactVector":
-        return ImpactVector(energy_kwh, self.gwp_kg, self.adpe_kgsb)
-
-    @classmethod
-    def zero(cls) -> "ImpactVector":
-        return cls(0.0, 0.0, 0.0)
 
 
 def _nonnegative(*components: float) -> tuple[float, ...]:
@@ -117,8 +98,6 @@ class ImpactFactors:
     memory_per_gb: ImpactVector
     board_base: ImpactVector
     cpu_production: ImpactVector
-    version: str = "unversioned"
-    sources: dict[str, str] | None = None
 
 
 @dataclass(frozen=True)
@@ -144,27 +123,23 @@ class ServerProfileTable:
 
     Rules match when the pattern's tokens appear contiguously in the
     normalized card name; first matching rule wins, else the default
-    (workstation-style) profile applies; memoized by normalized name.
+    (workstation-style) profile applies.
     """
 
     default: ServerProfile
     rules: tuple[tuple[str, ServerProfile], ...] = ()
     _rule_tokens: tuple = field(init=False, repr=False, compare=False)
-    _selected: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):  # rule patterns are normalized once, here
         tokens = tuple((normalize_name(p).split(), profile) for p, profile in self.rules)
         object.__setattr__(self, "_rule_tokens", tokens)
 
     def select(self, card: CardSpec) -> ServerProfile:
-        name = card.normalized_name
-        if name not in self._selected:
-            name_tokens = name.split()
-            self._selected[name] = next(
-                (p for tokens, p in self._rule_tokens if contains_tokens(name_tokens, tokens)),
-                self.default,
-            )
-        return self._selected[name]
+        name_tokens = card.normalized_name.split()
+        return next(
+            (p for tokens, p in self._rule_tokens if contains_tokens(name_tokens, tokens)),
+            self.default,
+        )
 
 
 @dataclass(frozen=True)
@@ -254,11 +229,7 @@ def load_impact_factors(path) -> ImpactFactors:
             )
         except ValueError as exc:
             raise LcaError(f"impact-factor config {path}, entry {key!r}: {exc}") from None
-    return ImpactFactors(
-        **entries,
-        version=str(data.get("version", "unversioned")),
-        sources={key: str(data[key].get("source", "unspecified")) for key in _FACTOR_ENTRIES},
-    )
+    return ImpactFactors(**entries)  # "version" and "source" keys document the file
 
 
 def load_constants(path) -> LcaConstants:
@@ -327,33 +298,31 @@ def production_impact(card: CardSpec, factors: ImpactFactors) -> ImpactVector:
         raise CannotEstimateError(
             f"card {card.name!r} lacks die area or memory size; cannot estimate production impact"
         )
-    return (
-        factors.logic_per_cm2.scale(card.die_area_mm2 / 100.0)
-        + factors.memory_per_gb.scale(card.memory_gb)
-        + factors.board_base
-    )
+    area = card.die_area_mm2 / 100.0
+    logic, memory, board = factors.logic_per_cm2, factors.memory_per_gb, factors.board_base
+    return _finite_production(card, (
+        getattr(logic, k) * area + getattr(memory, k) * card.memory_gb + getattr(board, k)
+        for k in ImpactVector.COMPONENTS
+    ))
 
 
-def amortized_embodied(
-    card_impact: ImpactVector,
-    quantity: int,
-    training_hours: float,
-    constants: LcaConstants,
-) -> ImpactVector:
-    """Share of production impacts attributable to one training run.
-
-    training_hours is the per-card wall-clock duration. Attribution is
-    capped at one whole device per card. The energy component is forced to
-    zero: production energy is already embedded in the GWP/ADPe factors,
-    not metered as kWh.
-    """
-    share = _amortized_cards(quantity, training_hours, constants)
-    return card_impact.scale(share).replace_energy(0.0)
+def _finite_production(card: CardSpec, components) -> ImpactVector:
+    """The production vector of these components, unless one overflowed."""
+    components = tuple(components)
+    if not all(map(math.isfinite, components)):
+        raise CannotEstimateError(
+            f"card {card.name!r}: production impact overflows; cannot estimate it"
+        )
+    return ImpactVector(*components)
 
 
-def _amortized_cards(quantity: int, training_hours: float, constants: LcaConstants) -> float:
+def amortized_cards(quantity: int, training_hours: float, constants: LcaConstants) -> float:
     """quantity * min(1, training_hours / amortizable hours): the number of
-    whole devices whose production one training run is attributed."""
+    whole devices whose production one training run is attributed.
+
+    training_hours is the per-card wall-clock duration, so attribution is
+    capped at one whole device per card.
+    """
     if training_hours <= 0:
         raise LcaError(f"training_hours must be > 0, got {training_hours}")
     if quantity < 1:
@@ -381,13 +350,8 @@ def training_energy(
     return (gpu_wh + cpu_wh) * constants.pue / 1000.0
 
 
-def usage_impact(energy_kwh: float, mix: ElectricityMix) -> ImpactVector:
-    """Impacts of consuming energy_kwh from the given electricity mix."""
-    return ImpactVector(energy_kwh, *_usage(energy_kwh, mix))
-
-
-def _usage(energy_kwh: float, mix: ElectricityMix) -> tuple[float, float]:
-    """(GWP, ADPe) of consuming energy_kwh from the mix."""
+def usage_impact(energy_kwh: float, mix: ElectricityMix) -> tuple[float, float]:
+    """(GWP kg, ADPe kgSb) of consuming energy_kwh from the mix."""
     if energy_kwh < 0:
         raise LcaError(f"energy must be >= 0, got {energy_kwh}")
     return energy_kwh * mix.carbon_intensity_g_per_kwh / 1000.0, energy_kwh * mix.adpe_kgsb_per_kwh
@@ -414,12 +378,17 @@ def apply_ci_scenario(
 
 
 def _card_constants(card: CardSpec, server_profiles: ServerProfileTable, factors: ImpactFactors):
-    """(server profile, production-plus-CPU vector or None without die area or memory)."""
+    """(server profile, production-plus-CPU vector), or (server profile, the
+    CannotEstimateError of a card whose production cannot be estimated)."""
     server = server_profiles.select(card)
-    if card.die_area_mm2 is None or card.memory_gb is None:
-        return server, None
-    cpus = factors.cpu_production.scale(server.cpus_per_gpu)
-    return server, production_impact(card, factors) + cpus
+    try:
+        production = production_impact(card, factors)
+        return server, _finite_production(card, (
+            getattr(production, k) + getattr(factors.cpu_production, k) * server.cpus_per_gpu
+            for k in ImpactVector.COMPONENTS
+        ))
+    except CannotEstimateError as exc:
+        return server, exc
 
 
 def system_impact(
@@ -441,10 +410,12 @@ def system_impact(
     Candidate cards missing the fields needed for the model are skipped
     unless they are the reference.
 
-    A total is the usage impact of training_energy plus the card's production
-    and CPU vector scaled by _amortized_cards or, quantity unknown, by
-    device-hours over amortizable hours, its energy zeroed. card_constants
-    memoizes each card's (server, vector) over calls sharing the tables.
+    A total is the usage impact of training_energy plus the embodied part:
+    the card's production and CPU vector scaled by amortized_cards or,
+    quantity unknown, by device-hours over amortizable hours. The embodied
+    energy is zero, since production energy is already embedded in the
+    GWP/ADPe factors, not metered as kWh. card_constants memoizes each card's
+    (server, vector) over calls sharing the tables.
     """
     countries = [c.strip().upper() for c in (system.countries or (WORLD_MIX_CODE,))]
     for code in countries:
@@ -465,20 +436,20 @@ def system_impact(
         server, per_card = card_constants[card]
         try:
             energy = training_energy(hours, card, server, constants)
-            if per_card is None:
-                production_impact(card, factors)  # raises the missing-field error
+            if isinstance(per_card, CannotEstimateError):
+                raise CannotEstimateError(*per_card.args)  # the memo keeps no traceback
         except CannotEstimateError:
             if card is card_ref.reference:
                 raise
             continue
         share = (hours / constants.amortizable_hours if quantity is None
-                 else _amortized_cards(quantity, hours / quantity, constants))
+                 else amortized_cards(quantity, hours / quantity, constants))
         _, gwp, adpe = _nonnegative(
             per_card.energy_kwh * share, per_card.gwp_kg * share, per_card.adpe_kgsb * share
         )
         embodied_by_card[card.name] = (gwp, adpe)
         for code in countries:
-            usage_gwp, usage_adpe = _usage(energy, mixes[code])
+            usage_gwp, usage_adpe = usage_impact(energy, mixes[code])
             totals[(card.name, code)] = _nonnegative(energy, usage_gwp + gwp, usage_adpe + adpe)
 
     ref_key = (card_ref.reference.name, countries[0])

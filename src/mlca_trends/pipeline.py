@@ -86,7 +86,6 @@ __all__ = [
     "ScenarioComparison",
     "default_data_path",
     "run_pipeline",
-    "scenario_compare",
 ]
 
 OUTPUT_SCHEMAS = {
@@ -691,8 +690,3 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
         if gc_enabled:
             gc.enable()
     return run
-
-
-def scenario_compare(config: RunConfig, ratio: float) -> ScenarioComparison:
-    """Real vs carbon-intensity-reduction footprints for post-2019 systems."""
-    return Run(dataclasses.replace(config, scenario_ratio=ratio)).scenario

@@ -51,7 +51,7 @@ def profile_table(workstation_server):
 
 @pytest.fixture
 def zero_factors():
-    zero = ImpactVector.zero()
+    zero = ImpactVector()
     return ImpactFactors(
         logic_per_cm2=zero, memory_per_gb=zero, board_base=zero, cpu_production=zero
     )

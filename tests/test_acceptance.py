@@ -7,6 +7,7 @@ substitutes and say so in their printed note.
 """
 
 import csv
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -23,14 +24,14 @@ from mlca_trends.lca import (
     ElectricityMix,
     LcaConstants,
     ServerProfile,
-    amortized_embodied,
+    amortized_cards,
     apply_ci_scenario,
     load_impact_factors,
     system_impact,
     training_energy,
     usage_impact,
 )
-from mlca_trends.pipeline import RunConfig, default_data_path, scenario_compare
+from mlca_trends.pipeline import Run, RunConfig, default_data_path
 from mlca_trends.stats import (
     breusch_pagan_studentized,
     durbin_watson,
@@ -237,10 +238,8 @@ def test_criterion_06_lca_arithmetic_oracles():
     energy = training_energy(400.0, make_card(tdp_w=300.0), server, constants)
     assert energy == pytest.approx(165.0, rel=5e-7)
 
-    from mlca_trends.lca import ImpactVector
-
-    amortized = amortized_embodied(ImpactVector(gwp_kg=150.0), 8, 1000.0, constants)
-    assert amortized.gwp_kg == pytest.approx(91.3242009132, rel=5e-7)
+    amortized = 150.0 * amortized_cards(8, 1000.0, constants)
+    assert amortized == pytest.approx(91.3242009132, rel=5e-7)
 
     scenario_ci = apply_ci_scenario(400.0, 0.25, 2021)
     assert scenario_ci == pytest.approx(225.0, rel=5e-7)
@@ -248,7 +247,7 @@ def test_criterion_06_lca_arithmetic_oracles():
     _report(
         6,
         f"desk oracles reproduced to 6 significant figures: {energy:.6g} kWh, "
-        f"{amortized.gwp_kg:.6g} kg amortized, {scenario_ci:.6g} g/kWh scenario",
+        f"{amortized:.6g} kg amortized, {scenario_ci:.6g} g/kWh scenario",
     )
 
 
@@ -332,13 +331,13 @@ def _scenario_fixture(tmp_path) -> RunConfig:
 def test_criterion_08_scenario_comparison(tmp_path):
     config = _scenario_fixture(tmp_path)
 
-    identical = scenario_compare(config, 0.0)
+    identical = Run(dataclasses.replace(config, scenario_ratio=0.0)).scenario
     real_pts = sorted((n, v) for s, n, _, v, _ in identical.points if s == "real")
     scen_pts = sorted((n, v) for s, n, _, v, _ in identical.points if s == "scenario")
     assert real_pts == scen_pts
     assert identical.excluded_real == identical.excluded_scenario
 
-    comparison = scenario_compare(config, 0.25)
+    comparison = Run(dataclasses.replace(config, scenario_ratio=0.25)).scenario
     gf_real = comparison.trend_real.growth_factor
     gf_scenario = comparison.trend_scenario.growth_factor
     assert gf_real == pytest.approx(4.0, rel=1e-9)

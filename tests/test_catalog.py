@@ -176,7 +176,7 @@ class TestMerge:
             1 for c in merged if c.normalized_name in {x.normalized_name for x in a}
             and c.normalized_name in {x.normalized_name for x in b}
         )
-        assert report.validated + len(report.divergent_card_names) + single_source == len(merged)
+        assert report.validated + len({d.name for d in report.divergent}) + single_source == len(merged)
 
     def test_override_with_unknown_name_rejected(self):
         with pytest.raises(CatalogError, match="unknown card"):

@@ -16,10 +16,10 @@ from mlca_trends.cli import main
 from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
     OUTPUT_SCHEMAS,
+    Run,
     RunConfig,
     default_data_path,
     run_pipeline,
-    scenario_compare,
 )
 from mlca_trends.stats import wls_fit
 
@@ -177,7 +177,7 @@ class TestWarnings:
 
 class TestScenarioCompare:
     def test_zero_ratio_series_identical(self, tmp_path):
-        comparison = scenario_compare(RunConfig(out=tmp_path / "out"), 0.0)
+        comparison = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.0)).scenario
         real = {(s, n): (v, inc) for s, n, _, v, inc in comparison.points if s == "real"}
         scen = {(("real", n)): (v, inc) for s, n, _, v, inc in comparison.points if s == "scenario"}
         assert len(real) == len(scen) > 0
@@ -186,7 +186,7 @@ class TestScenarioCompare:
         assert comparison.excluded_real == comparison.excluded_scenario
 
     def test_reduction_lowers_footprints(self, tmp_path):
-        comparison = scenario_compare(RunConfig(out=tmp_path / "out"), 0.25)
+        comparison = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.25)).scenario
         by_series = {"real": {}, "scenario": {}}
         for series, name, date, value, _ in comparison.points:
             by_series[series][name] = (date, value)
@@ -524,6 +524,25 @@ class TestInputBoundary:
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert counts["impact_skips"] > 0
         assert "inf" not in (out / "impacts.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command", ["report", "trends"])
+    def test_a_production_impact_that_overflows_drops_the_card(self, tmp_path, capsys, command):
+        factors = json.loads(default_data_path("impact_factors.json").read_text(encoding="utf-8"))
+        factors["logic_per_cm2"]["gwp_kg"] = 1e308
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps(factors), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--factors", str(path), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for written in out.iterdir():
+            text = written.read_text(encoding="utf-8")
+            assert not {"inf", "-inf", "Infinity"} & set(text.replace(",", " ").split()), written
+        with (out / "trends.csv").open(encoding="utf-8", newline="") as handle:
+            rows = [row for row in csv.DictReader(handle) if row["kind"] == "point"]
+        production = [float(r["value"]) for r in rows if r["series"] == "card_production_gwp_kg"]
+        dies = [r for r in rows if r["series"] == "card_die_area"]
+        assert 0 < len(production) < len(dies)  # the cards whose impact overflows are dropped
+        assert all(value < math.inf for value in production)
 
     @pytest.mark.parametrize(
         "flags",

@@ -11,6 +11,9 @@ Regenerate the file only for a deliberate output change, and say so in
 CHANGES.md:
 
     PYTHONPATH=src python -m tests.test_golden
+
+Regeneration prints `run/file` for each digest that changed, appeared or
+disappeared, and nothing when none did.
 """
 
 import contextlib
@@ -65,7 +68,25 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert compute_digests(tmp_path) == golden["runs"]
 
 
+def test_changed_digests_names_each_changed_added_and_removed_file():
+    old = {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.csv": "3"}}
+    assert changed_digests(old, old) == []
+    new = {"a": {"x.csv": "1", "y.csv": "9", "w.csv": "4"}, "c": {"z.csv": "3"}}
+    assert changed_digests(old, new) == ["a/w.csv", "a/y.csv", "b/z.csv", "c/z.csv"]
+
+
+def changed_digests(old: dict, new: dict) -> list[str]:
+    """`run/file` for each file whose digest differs between two run maps,
+    including files present in only one of them."""
+    keys = {(run, name) for runs in (old, new) for run, files in runs.items() for name in files}
+    return [f"{run}/{name}" for run, name in sorted(keys)
+            if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
+
+
 if __name__ == "__main__":
+    previous = json.loads(DIGESTS.read_text(encoding="utf-8"))["runs"] if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         payload = {"versions": _versions(), "runs": compute_digests(Path(tmp))}
     DIGESTS.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for changed in changed_digests(previous, payload["runs"]):
+        print(changed)

@@ -18,11 +18,3 @@ def test_degenerate_and_candidates():
     assert (env.min, env.reference, env.max) == (1.0, 2.0, 3.0)
     with pytest.raises(ValueError):
         EstimateInterval.from_candidates([], reference=1.0)
-
-
-def test_scaling_preserves_ordering():
-    interval = EstimateInterval(1.0, 2.0, 4.0)
-    scaled = interval.scale(2.5)
-    assert (scaled.min, scaled.reference, scaled.max) == (2.5, 5.0, 10.0)
-    with pytest.raises(ValueError):
-        interval.scale(-1.0)
