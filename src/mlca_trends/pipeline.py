@@ -99,7 +99,7 @@ OUTPUT_SCHEMAS = {
         "energy_kwh_min", "energy_kwh_ref", "energy_kwh_max",
         "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max",
         "adpe_kgsb_min", "adpe_kgsb_ref", "adpe_kgsb_max",
-        "embodied_gwp_ref", "embodied_adpe_ref", "method", "scenario_ratio",
+        "embodied_gwp_ref", "embodied_adpe_ref", "method",
     ],
     "trends.csv": [
         "series", "kind", "name", "date", "year", "value",
@@ -619,7 +619,7 @@ WRITERS = {
          r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
          r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
          r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
-         r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method, None]
+         r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method]
         for r in run.impacts[0]
     )),
     "trends.csv": lambda run, path: _write_csv(
