@@ -60,6 +60,14 @@ def compute_digests(workdir: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
+def changed_digests(old: dict, new: dict) -> list[str]:
+    """`run/file` for each file whose digest differs between two run maps,
+    including files present in only one of them."""
+    keys = {(run, name) for runs in (old, new) for run, files in runs.items() for name in files}
+    return [f"{run}/{name}" for run, name in sorted(keys)
+            if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
+
+
 def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
@@ -73,14 +81,6 @@ def test_changed_digests_names_each_changed_added_and_removed_file():
     assert changed_digests(old, old) == []
     new = {"a": {"x.csv": "1", "y.csv": "9", "w.csv": "4"}, "c": {"z.csv": "3"}}
     assert changed_digests(old, new) == ["a/w.csv", "a/y.csv", "b/z.csv", "c/z.csv"]
-
-
-def changed_digests(old: dict, new: dict) -> list[str]:
-    """`run/file` for each file whose digest differs between two run maps,
-    including files present in only one of them."""
-    keys = {(run, name) for runs in (old, new) for run, files in runs.items() for name in files}
-    return [f"{run}/{name}" for run, name in sorted(keys)
-            if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
 
 
 if __name__ == "__main__":
