@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import CatalogError, UnresolvedCardError
@@ -21,6 +21,7 @@ from .inputs import parse_date, parse_number, read_csv, read_json, write_csv
 __all__ = [
     "CARD_COLUMNS",
     "CARD_SOURCES",
+    "LATEST_RELEASE_YEAR",
     "CardSpec",
     "RowError",
     "MergeReport",
@@ -73,6 +74,9 @@ _FIELD_ALIASES = {
 # 30 days count as equal (announcement vs availability).
 _COMPARED_FIELDS = ("die_area_mm2", "process_node_nm", "memory_gb", "tdp_w", "release_date")
 _RELEASE_DATE_TOLERANCE_DAYS = 30
+# Default latest accepted release year: a fixed year, not the clock's, so that
+# whether a row is accepted does not depend on the day of the run.
+LATEST_RELEASE_YEAR = 2026
 
 _VENDOR_PREFIXES = frozenset(
     {"nvidia", "amd", "google", "huawei", "cerebras", "intel", "graphcore"}
@@ -82,7 +86,10 @@ _PUNCT_RE = re.compile(r"[^\w\s]|_")
 
 @dataclass(frozen=True)
 class CardSpec:
-    """One graphics-card model. Peak fields are FLOP/s; any may be absent."""
+    """One graphics-card model. Peak fields are FLOP/s; any may be absent.
+
+    release_date must fall in [1990, latest_release_year], the bound of the
+    table the card was read from; the bound takes no part in ==."""
 
     name: str
     vendor: str
@@ -97,14 +104,16 @@ class CardSpec:
     peak_fp16: float | None = None
     peak_tensor: float | None = None
     source: str = "other"
+    latest_release_year: int = field(default=LATEST_RELEASE_YEAR, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("card name must be non-empty")
         if self.source not in CARD_SOURCES:
             raise ValueError(f"unknown source {self.source!r}; expected one of {CARD_SOURCES}")
-        if not 1990 <= self.release_date.year <= dt.date.today().year:
-            raise ValueError(f"release_date {self.release_date} outside [1990, current year]")
+        if not 1990 <= self.release_date.year <= self.latest_release_year:
+            raise ValueError(f"release_date {self.release_date} outside "
+                             f"[1990, {self.latest_release_year}]")
         for field_name, lower_ok in (
             ("die_area_mm2", False),
             ("process_node_nm", False),
@@ -178,7 +187,8 @@ def normalize_name(name: str) -> str:
     return " ".join(tokens)
 
 
-def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]:
+def parse_card_table(path, source: str, latest_release_year: int = LATEST_RELEASE_YEAR
+                     ) -> tuple[list[CardSpec], list[RowError]]:
     """Read a card table CSV. Returns (cards, row_errors).
 
     Raises CatalogError for a missing or unreadable file or a header that
@@ -199,6 +209,7 @@ def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]
                     release_date=parse_date(row["release_date"], "release_date"),
                     memory_type=row["memory_type"].strip() or None,
                     source=source,
+                    latest_release_year=latest_release_year,
                     **{col: parse_number(row[col], col) for col in _NUMBER_COLUMNS},
                 )
             )

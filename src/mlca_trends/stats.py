@@ -235,10 +235,13 @@ def breusch_pagan_studentized(x, residuals) -> tuple[float, float]:
 
 
 def shapiro_wilk(sample) -> tuple[float, float]:
-    """Shapiro-Wilk W and p-value (Royston's approximation, 3 <= n <= 5000)."""
+    """Shapiro-Wilk W and p-value (Royston's approximation) of 3 or more values.
+
+    Above 5,000 values W stays accurate but p may not be; it warns, as
+    scipy.stats.shapiro does."""
     s = _as_vector(sample, "sample")
-    if not 3 <= s.size <= 5000:
-        raise StatsError(f"sample size must be in [3, 5000], got {s.size}")
+    if s.size < 3:
+        raise StatsError(f"sample size must be at least 3, got {s.size}")
     spread = float(s.max()) - float(s.min())
     if spread == 0.0:
         raise DegenerateDataError("constant sample")
@@ -247,6 +250,9 @@ def shapiro_wilk(sample) -> tuple[float, float]:
     # Shift by an element near the median before scaling, as scipy does.
     y = np.sort(s)
     y -= s[s.size // 2]
+    if s.size > 5000:
+        warnings.warn(f"Shapiro-Wilk p-value may be inaccurate above 5000 values, "
+                      f"got {s.size}", stacklevel=2)
     return _swilk(y.tolist())
 
 

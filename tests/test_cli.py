@@ -12,6 +12,7 @@ import pytest
 from scipy import stats as sps
 
 from mlca_trends import pipeline
+from mlca_trends.catalog import LATEST_RELEASE_YEAR
 from mlca_trends.cli import main
 from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
@@ -155,6 +156,41 @@ class TestScipyOnDemand:
         assert not [m for m in modules if m.split(".")[:2] == ["scipy", "stats"]]
 
 
+def _fresh_python(script: str, blas_threads: str) -> str:
+    """Stdout of a script run in a fresh interpreter, with src on PYTHONPATH
+    and the caller's OPENBLAS_NUM_THREADS set to blas_threads."""
+    env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
+    env.update(PYTHONPATH=str(_SRC), OPENBLAS_NUM_THREADS=blas_threads)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestOneBlasThread:
+    """Importing the package pins OpenBLAS to one thread, whatever the caller set."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_import_starts_no_blas_worker_threads(self):
+        script = "import os, mlca_trends, scipy.special; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_python(script, "2") == "1\n"
+
+    def test_a_long_fit_is_the_same_whatever_thread_count_the_caller_set(self):
+        # Above 10,000 points a threaded dot sums its halves in another order.
+        script = (
+            "import datetime as dt\n"
+            "from mlca_trends.stats import exp_trend\n"
+            "import numpy as np  # after the package, which pins the threads first\n"
+            "rng = np.random.default_rng(20)\n"
+            "days = rng.integers(0, 9000, 20_000)\n"
+            "values = np.exp(0.3 * days / 365.25 + rng.normal(size=days.size))\n"
+            "fit = exp_trend([(dt.date(2000, 1, 1) + dt.timedelta(days=int(d)), float(v))\n"
+            "                 for d, v in zip(days, values)])\n"
+            "print(fit.slope_per_year.hex(), fit.intercept.hex())\n"
+        )
+        assert _fresh_python(script, "1") == _fresh_python(script, "2")
+
+
 class TestWarnings:
     def test_ratio_above_explored_range_is_one_warning_line(self, tmp_path, capsys):
         code = main(["scenario", "--scenario-ratio", "0.3", "--out", str(tmp_path / "out")])
@@ -173,6 +209,30 @@ class TestWarnings:
             "error [lca]: reduction ratio 0.3 exceeds the explored range (0.25/year)"
         ]
         assert not (tmp_path / "a").exists()
+
+
+    def test_past_5000_clean_bridge_pairs_is_one_warning_line(self, tmp_path, capsys):
+        n = 5050
+        rng = np.random.default_rng(11)
+        flop = 10.0 ** rng.uniform(19.0, 24.0, n)
+        hours = flop / 1e17 * np.exp(rng.uniform(-1.0, 1.0, n))  # no log-ratio 3 MADs out
+        table = tmp_path / "systems.csv"
+        table.write_text(
+            "name,publication_date,training_flop,hardware_names,hardware_quantity,"
+            "training_hours,countries,confidence,finetuned\n" + "".join(
+                f"s{i},{2015 + i % 9}-06-01,{f:.6g},Tesla T4,8,{h:.6g},USA,confident,false\n"
+                for i, (f, h) in enumerate(zip(flop, hours))
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["report", "--systems", str(table), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning [stats]: Shapiro-Wilk p-value may be inaccurate above 5000 values, got {n}"
+        ]
+        bridge = json.loads((out / "bridge.json").read_text(encoding="utf-8"))
+        assert bridge["counts"] == {"pairs": n, "clean": n, "anomalous": 0}
+        assert 0.0 <= bridge["diagnostics"]["shapiro_wilk"][1] <= 1.0
 
 
 class TestScenarioCompare:
@@ -570,6 +630,7 @@ class TestInputBoundary:
             {"gwp_floor": "50"},
             {"seed": 1.5},
             {"seed": False},
+            {"latest_release_year": 2026.0},
             {"apply_bridge": "yes"},
             {"apply_bridge": 1},
             {"cards": 5},
@@ -630,6 +691,26 @@ class TestInputBoundary:
         assert code == 0
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert (counts["system_row_errors"], counts["card_row_errors"]) == (1, 1)
+
+    @pytest.mark.parametrize("latest", [None, 2023])  # the package default; a configured year
+    def test_a_card_dated_past_the_latest_release_year_is_a_row_error(
+        self, tmp_path, monkeypatch, capsys, latest
+    ):
+        if latest is None:
+            latest = LATEST_RELEASE_YEAR
+        else:
+            env_file = tmp_path / "config.json"
+            env_file.write_text(json.dumps({"latest_release_year": latest}), encoding="utf-8")
+            monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+        cards = tmp_path / "cards.csv"
+        cards.write_bytes(_bundled("cards_nvidia_workstation.csv") + (
+            f"Late Card,NVIDIA,{latest}-12-31,600,4,80,HBM3,700,,6e13,,\n"
+            f"Later Card,NVIDIA,{latest + 1}-01-01,600,4,80,HBM3,700,,6e13,,\n"
+        ).encode("utf-8"))
+        assert main(["bridge", "--cards", str(cards), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["counts"]["card_row_errors"] == 1
+        assert summary["provenance"]["latest_release_year"] == latest
 
     def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
         header, *rows = _bundled("systems_sample.csv").decode("utf-8").splitlines(keepends=True)

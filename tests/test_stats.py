@@ -303,6 +303,15 @@ class TestShapiroWilkMatchesScipy:
         with pytest.warns(UserWarning, match="range"):
             assert shapiro_wilk(sample) == _oracle_shapiro(sample) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [5001, 5735, 8000, 19066])
+    def test_past_5000_values_warns_as_scipy_does(self, n):
+        rng = np.random.default_rng(n)
+        for sample in (rng.normal(size=n), rng.standard_t(3.0, size=n)):
+            with pytest.warns(UserWarning, match=f"above 5000 values, got {n}"):
+                ours = shapiro_wilk(sample)
+            with pytest.warns(UserWarning, match="N > 5000"):
+                assert ours == _oracle_shapiro(sample)
+
 
 class TestTailsMatchScipyStats:
     """The scipy.special tails equal the scipy.stats calls they replace."""
