@@ -210,7 +210,6 @@ class TestWarnings:
         ]
         assert not (tmp_path / "a").exists()
 
-
     def test_past_5000_clean_bridge_pairs_is_one_warning_line(self, tmp_path, capsys):
         n = 5050
         rng = np.random.default_rng(11)
