@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import CatalogError, UnresolvedCardError
@@ -74,9 +74,11 @@ _FIELD_ALIASES = {
 # 30 days count as equal (announcement vs availability).
 _COMPARED_FIELDS = ("die_area_mm2", "process_node_nm", "memory_gb", "tdp_w", "release_date")
 _RELEASE_DATE_TOLERANCE_DAYS = 30
-# Default latest accepted release year: a fixed year, not the clock's, so that
-# whether a row is accepted does not depend on the day of the run.
-LATEST_RELEASE_YEAR = 2026
+# Latest accepted release year: a fixed year, not the clock's, so that whether
+# a row is accepted does not depend on the day of the run. 2030 leaves room for
+# cards announced years ahead of release; raise it before 2030 ends (a test in
+# tests/test_catalog.py fails once the clock's year passes it).
+LATEST_RELEASE_YEAR = 2030
 
 _VENDOR_PREFIXES = frozenset(
     {"nvidia", "amd", "google", "huawei", "cerebras", "intel", "graphcore"}
@@ -86,10 +88,7 @@ _PUNCT_RE = re.compile(r"[^\w\s]|_")
 
 @dataclass(frozen=True)
 class CardSpec:
-    """One graphics-card model. Peak fields are FLOP/s; any may be absent.
-
-    release_date must fall in [1990, latest_release_year], the bound of the
-    table the card was read from; the bound takes no part in ==."""
+    """One graphics-card model. Peak fields are FLOP/s; any may be absent."""
 
     name: str
     vendor: str
@@ -104,16 +103,15 @@ class CardSpec:
     peak_fp16: float | None = None
     peak_tensor: float | None = None
     source: str = "other"
-    latest_release_year: int = field(default=LATEST_RELEASE_YEAR, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("card name must be non-empty")
         if self.source not in CARD_SOURCES:
             raise ValueError(f"unknown source {self.source!r}; expected one of {CARD_SOURCES}")
-        if not 1990 <= self.release_date.year <= self.latest_release_year:
+        if not 1990 <= self.release_date.year <= LATEST_RELEASE_YEAR:
             raise ValueError(f"release_date {self.release_date} outside "
-                             f"[1990, {self.latest_release_year}]")
+                             f"[1990, {LATEST_RELEASE_YEAR}]")
         for field_name, lower_ok in (
             ("die_area_mm2", False),
             ("process_node_nm", False),
@@ -187,8 +185,7 @@ def normalize_name(name: str) -> str:
     return " ".join(tokens)
 
 
-def parse_card_table(path, source: str, latest_release_year: int = LATEST_RELEASE_YEAR
-                     ) -> tuple[list[CardSpec], list[RowError]]:
+def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]:
     """Read a card table CSV. Returns (cards, row_errors).
 
     Raises CatalogError for a missing or unreadable file or a header that
@@ -209,7 +206,6 @@ def parse_card_table(path, source: str, latest_release_year: int = LATEST_RELEAS
                     release_date=parse_date(row["release_date"], "release_date"),
                     memory_type=row["memory_type"].strip() or None,
                     source=source,
-                    latest_release_year=latest_release_year,
                     **{col: parse_number(row[col], col) for col in _NUMBER_COLUMNS},
                 )
             )

@@ -17,7 +17,6 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .catalog import LATEST_RELEASE_YEAR
 from .errors import (
     CatalogError,
     ConfigError,
@@ -50,7 +49,6 @@ _PATH_FLAGS = [
 # MLCA_TRENDS_CONFIG key -> (accepts the JSON value, what it must be)
 _PATH = (lambda v: isinstance(v, str), "a path string")
 _NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
-_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 _ENV_SCHEMA = {
     **{dest: _PATH for _, dest, _ in _PATH_FLAGS},
     "out": _PATH,
@@ -58,8 +56,7 @@ _ENV_SCHEMA = {
                      'true, false, "true" or "false"'),
     "scenario_ratio": _NUMBER,
     "gwp_floor": _NUMBER,
-    "seed": _INTEGER,
-    "latest_release_year": _INTEGER,
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
 }
 
 _STAGE_BY_ERROR = (
@@ -148,7 +145,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         scenario_ratio=pick("scenario_ratio"),
         gwp_floor=float(pick("gwp_floor", 50.0)),
         seed=int(pick("seed", 0)),
-        latest_release_year=env.get("latest_release_year", LATEST_RELEASE_YEAR),
     )
 
 

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import (
-    LATEST_RELEASE_YEAR,
     CardIndex,
     CardReference,
     CardSpec,
@@ -147,7 +146,6 @@ class RunConfig:
     scenario_ratio: float | None = None
     gwp_floor: float = 50.0
     seed: int = 0
-    latest_release_year: int = LATEST_RELEASE_YEAR  # a card released later is a row error
 
     def __post_init__(self):
         defaults = {
@@ -212,10 +210,9 @@ class ScenarioComparison:
 
 
 def load_bundle(config: RunConfig) -> Bundle:
-    latest = config.latest_release_year
-    cards_a, errors_a = parse_card_table(config.cards, "techpowerup", latest)
+    cards_a, errors_a = parse_card_table(config.cards, "techpowerup")
     if config.cards_alt is not None:
-        cards_b, errors_b = parse_card_table(config.cards_alt, "wiki", latest)
+        cards_b, errors_b = parse_card_table(config.cards_alt, "wiki")
         overrides = load_overrides(config.overrides) if config.overrides else None
         workstation, report = merge_catalogs(cards_a, cards_b, overrides)
         card_errors = errors_a + errors_b
@@ -226,7 +223,7 @@ def load_bundle(config: RunConfig) -> Bundle:
 
     full_catalog = list(workstation)
     if config.cards_extra is not None:
-        extra, errors_extra = parse_card_table(config.cards_extra, "other", latest)
+        extra, errors_extra = parse_card_table(config.cards_extra, "other")
         full_catalog.extend(extra)
         card_errors = card_errors + errors_extra
 
@@ -548,7 +545,6 @@ class Run:
             "scenario_ratio": config.scenario_ratio if "scenario" in ran else None,
             "gwp_floor": config.gwp_floor,
             "seed": config.seed,
-            "latest_release_year": config.latest_release_year,
             "cpu_embodied_allocation": "cpus_per_server/gpus_per_server per card",
         }
 

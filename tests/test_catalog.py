@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mlca_trends import catalog as catalog_module
 from mlca_trends.catalog import (
     CARD_COLUMNS,
+    LATEST_RELEASE_YEAR,
     CardIndex,
     CardReference,
     CardSpec,
@@ -82,7 +83,13 @@ class TestParse:
         with pytest.raises(ValueError):
             make_card(release_date=dt.date(1980, 1, 1))
         with pytest.raises(ValueError):
-            make_card(release_date=dt.date(dt.date.today().year + 2, 1, 1))
+            make_card(release_date=dt.date(LATEST_RELEASE_YEAR + 1, 1, 1))
+        make_card(release_date=dt.date(LATEST_RELEASE_YEAR, 12, 31))
+
+    def test_latest_release_year_not_yet_passed(self):
+        # The bound is a fixed year so that a run does not depend on its day;
+        # once the clock passes it, cards of the current year would be refused.
+        assert dt.date.today().year <= LATEST_RELEASE_YEAR
 
     def test_roundtrip_identity(self, tmp_path):
         cards, _ = parse_card_table(write_table(tmp_path, GOOD_ROWS), "techpowerup")

@@ -629,7 +629,6 @@ class TestInputBoundary:
             {"gwp_floor": "50"},
             {"seed": 1.5},
             {"seed": False},
-            {"latest_release_year": 2026.0},
             {"apply_bridge": "yes"},
             {"apply_bridge": 1},
             {"cards": 5},
@@ -691,25 +690,15 @@ class TestInputBoundary:
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert (counts["system_row_errors"], counts["card_row_errors"]) == (1, 1)
 
-    @pytest.mark.parametrize("latest", [None, 2023])  # the package default; a configured year
-    def test_a_card_dated_past_the_latest_release_year_is_a_row_error(
-        self, tmp_path, monkeypatch, capsys, latest
-    ):
-        if latest is None:
-            latest = LATEST_RELEASE_YEAR
-        else:
-            env_file = tmp_path / "config.json"
-            env_file.write_text(json.dumps({"latest_release_year": latest}), encoding="utf-8")
-            monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+    def test_a_card_dated_past_the_latest_release_year_is_a_row_error(self, tmp_path, capsys):
+        latest = LATEST_RELEASE_YEAR
         cards = tmp_path / "cards.csv"
         cards.write_bytes(_bundled("cards_nvidia_workstation.csv") + (
             f"Late Card,NVIDIA,{latest}-12-31,600,4,80,HBM3,700,,6e13,,\n"
             f"Later Card,NVIDIA,{latest + 1}-01-01,600,4,80,HBM3,700,,6e13,,\n"
         ).encode("utf-8"))
         assert main(["bridge", "--cards", str(cards), "--out", str(tmp_path / "out")]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["counts"]["card_row_errors"] == 1
-        assert summary["provenance"]["latest_release_year"] == latest
+        assert json.loads(capsys.readouterr().out)["counts"]["card_row_errors"] == 1
 
     def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
         header, *rows = _bundled("systems_sample.csv").decode("utf-8").splitlines(keepends=True)
