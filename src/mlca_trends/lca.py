@@ -1,13 +1,14 @@
 """Life-cycle impacts of training runs: embodied and usage phases.
 
-Impacts are (energy kWh, GWP kgCO2eq, ADPe kgSbeq) triples. Card production
-impacts follow a linear model in die area and memory size with a fixed
-per-board term; the factor table is configuration, not code. Usage impacts
-come from the electricity mix of the producing country; embodied impacts are
-amortized over the share of the hardware's useful life the training consumed.
+A system's totals are (energy kWh, GWP kgCO2eq, ADPe kgSbeq); production
+impacts are (GWP, ADPe) pairs, since production energy is embedded in the
+GWP/ADPe factors, not metered as kWh. Card production impacts follow a linear
+model in die area and memory size with a fixed per-board term; the factor
+table is configuration, not code. Usage impacts come from the electricity mix
+of the producing country; embodied impacts are amortized over the share of
+the hardware's useful life the training consumed.
 Server memory is deliberately modeled with zero impact and zero energy so
-results stay comparable with card-only accounting; an extended memory model
-can be added behind a factor entry later.
+results stay comparable with card-only accounting.
 
 The model is stated once, in plain floats: `production_impact`,
 `amortized_cards`, `training_energy` and `usage_impact` are its formulas, and
@@ -68,21 +69,21 @@ SCENARIO_BASE_YEAR = 2019
 
 @dataclass(frozen=True)
 class ImpactVector:
-    """(energy, GWP, ADPe) triple; components finite and never negative."""
+    """(GWP, ADPe) pair; components finite and never negative."""
 
-    energy_kwh: float = 0.0
     gwp_kg: float = 0.0
     adpe_kgsb: float = 0.0
 
-    COMPONENTS = ("energy_kwh", "gwp_kg", "adpe_kgsb")
+    COMPONENTS = ("gwp_kg", "adpe_kgsb")
 
     def __post_init__(self):
-        _nonnegative(self.energy_kwh, self.gwp_kg, self.adpe_kgsb)
+        _nonnegative(self.gwp_kg, self.adpe_kgsb, names=self.COMPONENTS)
 
 
-def _nonnegative(*components: float) -> tuple[float, ...]:
-    """The (energy, GWP, ADPe) components, once each is finite and >= 0."""
-    for name, value in zip(ImpactVector.COMPONENTS, components):
+def _nonnegative(*components: float, names=("energy_kwh", *ImpactVector.COMPONENTS)):
+    """The components of a total (or of the named metrics), once each is
+    finite and >= 0."""
+    for name, value in zip(names, components):
         if not 0 <= value < math.inf:  # also false for nan
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return components
@@ -91,8 +92,7 @@ def _nonnegative(*components: float) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ImpactFactors:
     """Production impact factors: per cm^2 of die, per GB of memory (fixed
-    density), per board, and per CPU. Node-independent by design; a
-    node-dependent table is an extension hook, not the default."""
+    density), per board, and per CPU. Node-independent by design."""
 
     logic_per_cm2: ImpactVector
     memory_per_gb: ImpactVector
@@ -191,7 +191,6 @@ class SystemImpact:
     gwp_kg: EstimateInterval
     adpe_kgsb: EstimateInterval
     embodied_ref: ImpactVector
-    total_ref: ImpactVector
     method: str
     mix_ref: ElectricityMix
 
@@ -223,13 +222,11 @@ def load_impact_factors(path) -> ImpactFactors:
             raise LcaError(f"impact-factor config {path}: entry {key!r} must be a JSON object")
         try:
             entries[key] = ImpactVector(
-                energy_kwh=parse_number(entry.get("energy_kwh", 0.0), "energy_kwh", required=True),
-                gwp_kg=parse_number(entry.get("gwp_kg"), "gwp_kg", required=True),
-                adpe_kgsb=parse_number(entry.get("adpe_kgsb"), "adpe_kgsb", required=True),
+                *(parse_number(entry.get(k), k, required=True) for k in ImpactVector.COMPONENTS)
             )
         except ValueError as exc:
             raise LcaError(f"impact-factor config {path}, entry {key!r}: {exc}") from None
-    return ImpactFactors(**entries)  # "version" and "source" keys document the file
+    return ImpactFactors(**entries)  # other keys ("version", "source", ...) are ignored
 
 
 def load_constants(path) -> LcaConstants:
@@ -412,10 +409,8 @@ def system_impact(
 
     A total is the usage impact of training_energy plus the embodied part:
     the card's production and CPU vector scaled by amortized_cards or,
-    quantity unknown, by device-hours over amortizable hours. The embodied
-    energy is zero, since production energy is already embedded in the
-    GWP/ADPe factors, not metered as kWh. card_constants memoizes each card's
-    (server, vector) over calls sharing the tables.
+    quantity unknown, by device-hours over amortizable hours. card_constants
+    memoizes each card's (server, vector) over calls sharing the tables.
     """
     countries = [c.strip().upper() for c in (system.countries or (WORLD_MIX_CODE,))]
     for code in countries:
@@ -444,9 +439,7 @@ def system_impact(
             continue
         share = (hours / constants.amortizable_hours if quantity is None
                  else amortized_cards(quantity, hours / quantity, constants))
-        _, gwp, adpe = _nonnegative(
-            per_card.energy_kwh * share, per_card.gwp_kg * share, per_card.adpe_kgsb * share
-        )
+        gwp, adpe = per_card.gwp_kg * share, per_card.adpe_kgsb * share  # checked in the totals
         embodied_by_card[card.name] = (gwp, adpe)
         for code in countries:
             usage_gwp, usage_adpe = usage_impact(energy, mixes[code])
@@ -457,16 +450,15 @@ def system_impact(
         raise LcaError(
             f"system {system.name!r}: reference combination {ref_key} could not be evaluated"
         )
-    total_ref = ImpactVector(*totals[ref_key])
+    ref_energy, ref_gwp, ref_adpe = totals[ref_key]
     energies, gwps, adpes = zip(*totals.values())
     return SystemImpact(
         system_name=system.name,
         publication_date=system.publication_date,
-        energy_kwh=EstimateInterval(min(energies), total_ref.energy_kwh, max(energies)),
-        gwp_kg=EstimateInterval(min(gwps), total_ref.gwp_kg, max(gwps)),
-        adpe_kgsb=EstimateInterval(min(adpes), total_ref.adpe_kgsb, max(adpes)),
-        embodied_ref=ImpactVector(0.0, *embodied_by_card[card_ref.reference.name]),
-        total_ref=total_ref,
+        energy_kwh=EstimateInterval(min(energies), ref_energy, max(energies)),
+        gwp_kg=EstimateInterval(min(gwps), ref_gwp, max(gwps)),
+        adpe_kgsb=EstimateInterval(min(adpes), ref_adpe, max(adpes)),
+        embodied_ref=ImpactVector(*embodied_by_card[card_ref.reference.name]),
         method=estimate.method,
         mix_ref=mixes[countries[0]],
     )
@@ -479,7 +471,7 @@ def scenario_gwp(impact: SystemImpact, ratio: float) -> float:
     intensity = apply_ci_scenario(
         impact.mix_ref.carbon_intensity_g_per_kwh, ratio, impact.publication_date.year
     )
-    return impact.total_ref.energy_kwh * intensity / 1000.0 + impact.embodied_ref.gwp_kg
+    return impact.energy_kwh.reference * intensity / 1000.0 + impact.embodied_ref.gwp_kg
 
 
 def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
@@ -493,7 +485,7 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
     pairs = list(impact_pairs)
     summaries = []
     total_excluded = 0
-    for metric in ("gwp_kg", "adpe_kgsb"):
+    for metric in ImpactVector.COMPONENTS:
         shares = []
         excluded = 0
         for embodied, total in pairs:
@@ -506,27 +498,12 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
             shares.append(100.0 * e / t)
         if shares:
             arr = np.array(shares)
-            q1, q2, q3 = np.percentile(arr, [25, 50, 75])
-            summaries.append(
-                ShareSummary(
-                    metric=metric,
-                    min=float(arr.min()),
-                    q1=float(q1),
-                    median=float(q2),
-                    mean=float(arr.mean()),
-                    q3=float(q3),
-                    max=float(arr.max()),
-                    n=len(shares),
-                    excluded=excluded,
-                )
-            )
+            q1, median, q3 = np.percentile(arr, [25, 50, 75])
+            values = (arr.min(), q1, median, arr.mean(), q3, arr.max())
         else:
-            nan = float("nan")
-            summaries.append(
-                ShareSummary(
-                    metric=metric, min=nan, q1=nan, median=nan, mean=nan,
-                    q3=nan, max=nan, n=0, excluded=excluded,
-                )
-            )
+            values = (math.nan,) * 6
+        summaries.append(
+            ShareSummary(metric, *map(float, values), n=len(shares), excluded=excluded)
+        )
         total_excluded += excluded
     return summaries, total_excluded

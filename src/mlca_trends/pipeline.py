@@ -61,6 +61,7 @@ from .estimation import (
 )
 from .inputs import format_cell, write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
+    ImpactVector,
     SystemImpact,
     embodied_share_table,
     load_constants,
@@ -491,7 +492,10 @@ class Run:
 
     @cached_property
     def shares(self):
-        return embodied_share_table([(r.embodied_ref, r.total_ref) for r in self.impacts[0]])
+        return embodied_share_table(
+            [(r.embodied_ref, ImpactVector(r.gwp_kg.reference, r.adpe_kgsb.reference))
+             for r in self.impacts[0]]
+        )
 
     @cached_property
     def scenario(self) -> ScenarioComparison:

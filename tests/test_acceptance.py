@@ -316,7 +316,7 @@ def _scenario_fixture(tmp_path) -> RunConfig:
         encoding="utf-8",
     )
     factors = tmp_path / "factors.json"
-    zero = {"energy_kwh": 0, "gwp_kg": 0, "adpe_kgsb": 0, "source": "zero fixture"}
+    zero = {"gwp_kg": 0, "adpe_kgsb": 0, "source": "zero fixture"}
     factors.write_text(
         json.dumps({k: zero for k in
                     ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production")}),

@@ -584,6 +584,22 @@ class TestInputBoundary:
         assert counts["impact_skips"] > 0
         assert "inf" not in (out / "impacts.csv").read_text(encoding="utf-8")
 
+    def test_an_embodied_energy_factor_is_ignored(self, tmp_path, capsys):
+        # production energy is embedded in the GWP/ADPe factors, so no
+        # energy_kwh entry, however large, can skip a system
+        factors = json.loads(default_data_path("impact_factors.json").read_text(encoding="utf-8"))
+        factors["board_base"]["energy_kwh"] = 1e306
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps(factors), encoding="utf-8")
+        written = {}
+        for name, flags in [("bundled", []), ("energy", ["--factors", str(path)])]:
+            assert main(["impacts", *flags, "--out", str(tmp_path / name)]) == 0
+            counts = json.loads(capsys.readouterr().out)["counts"]
+            assert (counts["impacts"], counts["impact_skips"]) == (15, 0)
+            written[name] = read_all(tmp_path / name)
+        assert sorted(written["energy"]) == ["embodied_shares.csv", "impacts.csv"]
+        assert written["energy"] == written["bundled"]
+
     @pytest.mark.parametrize("command", ["report", "trends"])
     def test_a_production_impact_that_overflows_drops_the_card(self, tmp_path, capsys, command):
         factors = json.loads(default_data_path("impact_factors.json").read_text(encoding="utf-8"))

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from mlca_trends.lca import (
     amortized_cards,
     apply_ci_scenario,
     embodied_share_table,
+    load_impact_factors,
     load_server_profiles,
     production_impact,
     scenario_gwp,
@@ -37,7 +39,7 @@ def system(name="Sys", **kwargs):
 
 class TestImpactVector:
     def test_negative_components_rejected(self):
-        for components in ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1e-300)):
+        for components in ((-1.0, 0.0), (0.0, -1e-300)):
             with pytest.raises(ValueError):
                 ImpactVector(*components)
 
@@ -46,7 +48,7 @@ class TestImpactVector:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda v: ImpactVector(1.0, v, 1.0),
+        lambda v: ImpactVector(v, 1.0),
         lambda v: ElectricityMix("XX", v, 1e-8),
         lambda v: ElectricityMix("XX", 300.0, v),
         lambda v: LcaConstants(pue=v),
@@ -54,6 +56,7 @@ class TestImpactVector:
         lambda v: ServerProfile(gpus_per_server=v, cpus_per_server=2, cpu_tdp_w=150.0),
         lambda v: ServerProfile(gpus_per_server=4, cpus_per_server=v, cpu_tdp_w=150.0),
         lambda v: ServerProfile(gpus_per_server=4, cpus_per_server=2, cpu_tdp_w=v),
+        lambda v: ImpactVector(1.0, v),
     ],
 )
 def test_records_reject_non_finite_values(build, value):
@@ -87,9 +90,6 @@ class TestProductionImpact:
 
     def test_shipped_factor_file_frozen_values(self):
         # frozen hand evaluations of the bundled factor table on three cards
-        from mlca_trends.lca import load_impact_factors
-        from mlca_trends.pipeline import default_data_path
-
         factors = load_impact_factors(default_data_path("impact_factors.json"))
         v100 = make_card(die_area_mm2=815.0, memory_gb=16.0)
         a100 = make_card(die_area_mm2=826.0, memory_gb=80.0)
@@ -116,6 +116,32 @@ class TestProductionImpact:
             production_impact(make_card(die_area_mm2=815.0), factors)
 
 
+def _with_entry_key(tmp_path, key, value):
+    """A copy of the bundled factor file with `key` set to `value` in every entry."""
+    data = json.loads(default_data_path("impact_factors.json").read_text(encoding="utf-8"))
+    for entry in data.values():
+        if isinstance(entry, dict):
+            entry[key] = value
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestLoadImpactFactors:
+    def test_energy_kwh_keys_are_ignored(self, tmp_path):
+        # production energy is embedded in the GWP/ADPe factors, never metered
+        bundled = load_impact_factors(default_data_path("impact_factors.json"))
+        assert "energy_kwh" not in default_data_path("impact_factors.json").read_text("utf-8")
+        for value in (-1, "abc", 1e306):
+            assert load_impact_factors(_with_entry_key(tmp_path, "energy_kwh", value)) == bundled
+
+    @pytest.mark.parametrize("key", ImpactVector.COMPONENTS)
+    def test_non_finite_or_negative_factors_rejected(self, tmp_path, key):
+        for value in (math.nan, math.inf, -1.0):
+            with pytest.raises(LcaError, match=key):
+                load_impact_factors(_with_entry_key(tmp_path, key, value))
+
+
 class TestAmortization:
     def test_hand_arithmetic(self, default_constants):
         # 8 * 150 * (1000 / 13140) = 91.3242...
@@ -129,24 +155,6 @@ class TestAmortization:
     def test_capped_beyond_boundary(self, default_constants):
         hours = 10 * default_constants.amortizable_hours
         assert amortized_cards(3, hours, default_constants) == 3.0
-
-    def test_energy_component_zeroed(self, oracle_card, profile_table, simple_mixes,
-                                     default_constants, workstation_server):
-        # production energy is embedded in the GWP/ADPe factors, never metered
-        factors = ImpactFactors(
-            logic_per_cm2=ImpactVector(5.0, 1.0, 1e-5), memory_per_gb=ImpactVector(2.0, 0.3, 0),
-            board_base=ImpactVector(40.0, 60.0, 4e-3), cpu_production=ImpactVector(9.0, 20.0, 0),
-        )
-        sys = system(training_hours=100.0, hardware_quantity=4, countries=("FRA",),
-                     hardware_names=("Card X",))
-        ref = CardReference("Card X", (oracle_card,), oracle_card)
-        result = system_impact(sys, gpu_hours_direct(100.0, 4), ref, simple_mixes,
-                               profile_table, factors, default_constants)
-        assert result.embodied_ref.energy_kwh == 0.0
-        assert result.embodied_ref.gwp_kg > 0
-        assert result.total_ref.energy_kwh == training_energy(
-            400.0, oracle_card, workstation_server, default_constants
-        )
 
     def test_preconditions(self, default_constants):
         with pytest.raises(LcaError):
@@ -402,7 +410,7 @@ class TestServerProfiles:
 class TestEmbodiedShares:
     def test_all_embodied_rows(self):
         pairs = [
-            (ImpactVector(0, 10.0, 1e-3), ImpactVector(0, 10.0, 1e-3)) for _ in range(5)
+            (ImpactVector(10.0, 1e-3), ImpactVector(10.0, 1e-3)) for _ in range(5)
         ]
         summaries, excluded = embodied_share_table(pairs)
         for s in summaries:
@@ -411,9 +419,9 @@ class TestEmbodiedShares:
 
     def test_hand_built_shares(self):
         pairs = [
-            (ImpactVector(0, 10.0, 0.1), ImpactVector(0, 100.0, 1.0)),
-            (ImpactVector(0, 20.0, 0.2), ImpactVector(0, 100.0, 1.0)),
-            (ImpactVector(0, 30.0, 0.3), ImpactVector(0, 100.0, 1.0)),
+            (ImpactVector(10.0, 0.1), ImpactVector(100.0, 1.0)),
+            (ImpactVector(20.0, 0.2), ImpactVector(100.0, 1.0)),
+            (ImpactVector(30.0, 0.3), ImpactVector(100.0, 1.0)),
         ]
         summaries, _ = embodied_share_table(pairs)
         gwp = summaries[0]
@@ -422,17 +430,25 @@ class TestEmbodiedShares:
 
     def test_zero_total_rows_excluded_and_reported(self):
         pairs = [
-            (ImpactVector(0, 10.0, 0.0), ImpactVector(0, 100.0, 0.0)),
-            (ImpactVector(0, 20.0, 0.1), ImpactVector(0, 100.0, 1.0)),
+            (ImpactVector(10.0, 0.0), ImpactVector(100.0, 0.0)),
+            (ImpactVector(20.0, 0.1), ImpactVector(100.0, 1.0)),
         ]
         summaries, excluded = embodied_share_table(pairs)
         adpe = summaries[1]
         assert adpe.n == 1 and adpe.excluded == 1
         assert excluded == 1
 
+    def test_metric_with_every_total_zero_summarized_as_nan(self):
+        pairs = [(ImpactVector(1.0, 0.0), ImpactVector(2.0, 0.0))]
+        (gwp, adpe), excluded = embodied_share_table(pairs)
+        assert (gwp.n, gwp.excluded, gwp.mean) == (1, 0, 50.0)
+        assert adpe.metric == "adpe_kgsb" and (adpe.n, adpe.excluded, excluded) == (0, 1, 1)
+        assert all(math.isnan(v) for v in (adpe.min, adpe.q1, adpe.median, adpe.mean,
+                                            adpe.q3, adpe.max))
+
     def test_embodied_above_total_rejected(self):
         with pytest.raises(LcaError):
-            embodied_share_table([(ImpactVector(0, 2.0, 0), ImpactVector(0, 1.0, 0))])
+            embodied_share_table([(ImpactVector(2.0, 0), ImpactVector(1.0, 0))])
 
 
 def test_adpe_dominance_with_tiny_electricity_intensity(
