@@ -1,15 +1,16 @@
 """Command-line entry point.
 
 Subcommands run individual pipeline stages (ingest, coverage, bridge,
-estimate, impacts, trends, scenario) or the whole thing (report). All paths
-can be bundled in a JSON file pointed to by the MLCA_TRENDS_CONFIG
-environment variable; explicit flags win over the bundle, which wins over
-the data files shipped with the package.
+estimate, impacts, trends, scenario) or the whole thing (report). Each
+RunConfig field is a flag of every subcommand and a key of the JSON file
+named by the MLCA_TRENDS_CONFIG environment variable; explicit flags win over
+that file, which wins over RunConfig's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,32 +33,52 @@ from .pipeline import Run, RunConfig, run_pipeline
 
 ENV_CONFIG = "MLCA_TRENDS_CONFIG"
 
-_PATH_FLAGS = [
-    ("--cards", "cards", "primary card table CSV (TechPowerUp-style schema)"),
-    ("--cards-alt", "cards_alt", "second card table CSV to cross-validate against"),
-    ("--cards-extra", "cards_extra", "curated non-workstation/accelerator card CSV"),
-    ("--overrides", "overrides", "datasheet override CSV (name,field,value)"),
-    ("--systems", "systems", "notable ML systems CSV"),
-    ("--mixes", "mixes", "electricity mix CSV (country,ci g/kWh,adpe kgSb/kWh)"),
-    ("--factors", "factors", "production impact factor JSON"),
-    ("--constants", "constants", "datacenter constants JSON (PUE, lifespan, ...)"),
-    ("--plausibility", "plausibility", "ambiguous-name plausibility JSON"),
-    ("--server-profiles", "server_profiles", "server layout rules JSON"),
-    ("--column-map", "column_map", "systems column-mapping JSON"),
-]
-
-# MLCA_TRENDS_CONFIG key -> (accepts the JSON value, what it must be)
-_PATH = (lambda v: isinstance(v, str), "a path string")
-_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
-_ENV_SCHEMA = {
-    **{dest: _PATH for _, dest, _ in _PATH_FLAGS},
-    "out": _PATH,
-    "apply_bridge": (lambda v: isinstance(v, bool) or v in ("true", "false"),
-                     'true, false, "true" or "false"'),
-    "scenario_ratio": _NUMBER,
-    "gwp_floor": _NUMBER,
-    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+# RunConfig field -> its flag's help. Each field is a flag (--cards-alt for
+# cards_alt) and an MLCA_TRENDS_CONFIG key of the same name.
+_HELP = {
+    "out": "output directory (default ./out)",
+    "cards": "primary card table CSV (TechPowerUp-style schema)",
+    "cards_alt": "second card table CSV to cross-validate against",
+    "cards_extra": "curated non-workstation/accelerator card CSV",
+    "overrides": "datasheet override CSV (name,field,value)",
+    "systems": "notable ML systems CSV",
+    "mixes": "electricity mix CSV (country,ci g/kWh,adpe kgSb/kWh)",
+    "factors": "production impact factor JSON",
+    "constants": "datacenter constants JSON (PUE, lifespan, ...)",
+    "plausibility": "ambiguous-name plausibility JSON",
+    "server_profiles": "server layout rules JSON",
+    "column_map": "systems column-mapping JSON",
+    "apply_bridge": "calibrate compute-based estimates with the bridge regression (default true)",
+    "scenario_ratio": "annual carbon-intensity reduction ratio in [0, 1]; "
+    "above 0.25 is outside the explored range",
+    "gwp_floor": "exclude systems below this footprint (kgCO2eq) in scenario series",
 }
+
+# RunConfig field type -> (argparse keywords of its flag, what its
+# MLCA_TRENDS_CONFIG value must be)
+_KINDS = {
+    "Path": ({}, "a path string"),
+    "float": ({"type": float}, "a number in the float range"),
+    "bool": ({"nargs": "?", "const": "true", "choices": ["true", "false"]},
+             'true, false, "true" or "false"'),
+}
+
+
+def _kind(field: dataclasses.Field) -> str:
+    return field.type.removesuffix(" | None")
+
+
+def _field_value(kind: str, value):
+    """A flag's or MLCA_TRENDS_CONFIG's value as a RunConfig field of that
+    kind: TypeError if it is none, OverflowError past the float range."""
+    if kind == "Path" and isinstance(value, str):
+        return Path(value)
+    if kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if kind == "bool" and (isinstance(value, bool) or value in ("true", "false")):
+        return value in (True, "true")
+    raise TypeError(value)
+
 
 _STAGE_BY_ERROR = (
     (CatalogError, "catalog"),
@@ -78,27 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        for flag, dest, help_text in _PATH_FLAGS:
-            p.add_argument(flag, dest=dest, type=Path, default=None, help=help_text)
-        p.add_argument("--out", type=Path, default=None, help="output directory (default ./out)")
-        p.add_argument(
-            "--apply-bridge",
-            nargs="?",
-            const="true",
-            choices=["true", "false"],
-            default=None,
-            help="calibrate compute-based estimates with the bridge regression (default true)",
-        )
-        p.add_argument("--scenario-ratio", type=float, default=None,
-                       help="annual carbon-intensity reduction ratio in [0, 1]; "
-                       "above 0.25 is outside the explored range")
-        p.add_argument("--gwp-floor", type=float, default=None,
-                       help="exclude systems below this footprint (kgCO2eq) in scenario series")
-        p.add_argument("--seed", type=int, default=None, help="recorded in provenance")
-
     for name, (help_text, _, _) in _SUBCOMMANDS.items():
-        add_common(sub.add_parser(name, help=help_text))
+        command = sub.add_parser(name, help=help_text)
+        for field in dataclasses.fields(RunConfig):
+            command.add_argument(f"--{field.name.replace('_', '-')}", help=_HELP[field.name],
+                                 **_KINDS[_kind(field)][0])
     return parser
 
 
@@ -107,45 +112,29 @@ def _env_defaults() -> dict:
     if not path:
         return {}
     data = read_json(path, ConfigError, f"{ENV_CONFIG} file")
-    unknown = sorted(set(data) - set(_ENV_SCHEMA))
+    kinds = {field.name: _kind(field) for field in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(
-            f"{ENV_CONFIG} file {path} has unknown keys {unknown}; known: {sorted(_ENV_SCHEMA)}"
+            f"{ENV_CONFIG} file {path} has unknown keys {unknown}; known: {sorted(kinds)}"
         )
+    values = {}
     for key, value in data.items():
-        accepts, kind = _ENV_SCHEMA[key]
-        if not accepts(value):
-            raise ConfigError(f"{ENV_CONFIG} file {path}: {key!r} must be {kind}, got {value!r}")
-    return data
+        try:
+            values[key] = _field_value(kinds[key], value)
+        except (TypeError, OverflowError):
+            raise ConfigError(f"{ENV_CONFIG} file {path}: {key!r} must be "
+                              f"{_KINDS[kinds[key]][1]}, got {value!r}") from None
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    env = _env_defaults()
-
-    def pick(name, fallback=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return env.get(name, fallback)
-
-    return RunConfig(
-        out=Path(pick("out", "out")),
-        cards=pick("cards"),
-        cards_alt=pick("cards_alt"),
-        cards_extra=pick("cards_extra"),
-        overrides=pick("overrides"),
-        systems=pick("systems"),
-        mixes=pick("mixes"),
-        factors=pick("factors"),
-        constants=pick("constants"),
-        plausibility=pick("plausibility"),
-        server_profiles=pick("server_profiles"),
-        column_map=pick("column_map"),
-        apply_bridge=pick("apply_bridge", True) in (True, "true"),
-        scenario_ratio=pick("scenario_ratio"),
-        gwp_floor=float(pick("gwp_floor", 50.0)),
-        seed=int(pick("seed", 0)),
-    )
+    """The flags given, over the MLCA_TRENDS_CONFIG values, over RunConfig's defaults."""
+    values = _env_defaults()
+    for field in dataclasses.fields(RunConfig):
+        if getattr(args, field.name) is not None:
+            values[field.name] = _field_value(_kind(field), getattr(args, field.name))
+    return RunConfig(**values)
 
 
 def _print_json(payload: dict) -> None:

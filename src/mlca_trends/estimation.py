@@ -91,8 +91,18 @@ class BridgeModel:
             return None
 
     def apply(self, flop_hours: float) -> float:
-        """Calibrated GPU-hours: exp(a) * h^b."""
-        return math.exp(self.intercept) * flop_hours**self.slope
+        """Calibrated GPU-hours: exp(a) * h^b, or inf past the float range."""
+        try:
+            return math.exp(self.intercept) * flop_hours**self.slope
+        except OverflowError:
+            return math.inf
+
+
+def _checked_hours(value: float, method: str) -> float:
+    """GPU-hours that are finite and > 0; others fell outside the float range."""
+    if not (math.isfinite(value) and value > 0):
+        raise EstimationError(f"{method} GPU-hours must be finite and > 0, got {value}")
+    return value
 
 
 def best_peak(card: CardSpec) -> float:
@@ -111,7 +121,7 @@ def gpu_hours_direct(duration_hours: float, quantity: int) -> GpuHoursEstimate:
         raise EstimationError(f"duration must be > 0 hours, got {duration_hours}")
     if quantity < 1:
         raise EstimationError(f"hardware quantity must be >= 1, got {quantity}")
-    value = duration_hours * quantity
+    value = _checked_hours(duration_hours * quantity, "direct")
     return GpuHoursEstimate(value=value, method="direct", interval=EstimateInterval.degenerate(value))
 
 
@@ -123,7 +133,7 @@ def gpu_hours_from_flop(flop: float, card: CardSpec) -> GpuHoursEstimate:
     """
     if flop <= 0:
         raise EstimationError(f"FLOP count must be > 0, got {flop}")
-    value = flop / (best_peak(card) * _SECONDS_PER_HOUR)
+    value = _checked_hours(flop / (best_peak(card) * _SECONDS_PER_HOUR), "compute-based")
     return GpuHoursEstimate(
         value=value,
         method="flop_based",
@@ -228,7 +238,7 @@ def estimate_gpu_hours(
                     raise
                 continue  # non-reference candidate without peaks narrows the interval
             if apply_bridge:
-                hours = bridge.apply(hours)
+                hours = _checked_hours(bridge.apply(hours), "bridged")
             per_card.append((card.name, hours))
         reference_hours = dict(per_card)[card_ref.reference.name]
         return GpuHoursEstimate(

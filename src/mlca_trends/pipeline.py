@@ -46,7 +46,6 @@ from .errors import (
     ConfigError,
     DegenerateDataError,
     EstimationError,
-    MissingPeakError,
     PipelineError,
     StatsError,
     UnknownCountryError,
@@ -57,6 +56,7 @@ from .estimation import (
     detect_anomalies,
     estimate_gpu_hours,
     fit_bridge,
+    gpu_hours_direct,
     gpu_hours_from_flop,
 )
 from .inputs import format_cell, write_csv as _write_csv  # the name clibench's tracer wraps
@@ -126,61 +126,44 @@ def default_data_path(name: str) -> Path:
     return Path(str(_resource_files("mlca_trends.data").joinpath(name)))
 
 
+def _bundled(name: str):
+    """A RunConfig field defaulting to the bundled data file of that name."""
+    return dataclasses.field(default_factory=lambda: default_data_path(name))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Paths and flags for one pipeline run. None paths fall back to the
-    bundled data files (cards_alt/overrides/column_map stay unused)."""
+    """Paths and flags for one pipeline run. Each input defaults to the data
+    file bundled with the package, but for the three optional ones (cards_alt,
+    overrides, column_map); None, their default, means no file, as it does
+    for cards_extra."""
 
-    out: Path
-    cards: Path = None
+    out: Path = Path("out")
+    cards: Path = _bundled("cards_nvidia_workstation.csv")
     cards_alt: Path | None = None
-    cards_extra: Path | None = None
+    cards_extra: Path | None = _bundled("cards_other.csv")
     overrides: Path | None = None
-    systems: Path = None
-    mixes: Path = None
-    factors: Path = None
-    constants: Path = None
-    plausibility: Path = None
-    server_profiles: Path = None
+    systems: Path = _bundled("systems_sample.csv")
+    mixes: Path = _bundled("electricity_mixes.csv")
+    factors: Path = _bundled("impact_factors.json")
+    constants: Path = _bundled("lca_constants.json")
+    plausibility: Path = _bundled("plausibility.json")
+    server_profiles: Path = _bundled("server_profiles.json")
     column_map: Path | None = None
     apply_bridge: bool = True
     scenario_ratio: float | None = None
     gwp_floor: float = 50.0
-    seed: int = 0
 
     def __post_init__(self):
-        defaults = {
-            "cards": "cards_nvidia_workstation.csv",
-            "cards_extra": "cards_other.csv",
-            "systems": "systems_sample.csv",
-            "mixes": "electricity_mixes.csv",
-            "factors": "impact_factors.json",
-            "constants": "lca_constants.json",
-            "plausibility": "plausibility.json",
-            "server_profiles": "server_profiles.json",
-        }
-        for name, filename in defaults.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default_data_path(filename))
-        for name in ("out", "cards", "cards_alt", "cards_extra", "overrides", "systems",
-                     "mixes", "factors", "constants", "plausibility", "server_profiles",
-                     "column_map"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, Path(value))
         if not (math.isfinite(self.gwp_floor) and self.gwp_floor >= 0):
             raise PipelineError(f"gwp floor must be a finite number >= 0, got {self.gwp_floor}")
         if self.scenario_ratio is not None and not 0 <= self.scenario_ratio <= 1:
             raise PipelineError(f"scenario ratio must be in [0, 1], got {self.scenario_ratio}")
 
     def sha256(self) -> str:
-        payload = {
-            k: (str(v) if isinstance(v, Path) else v)
-            for k, v in dataclasses.asdict(self).items()
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        # default=str writes each Path as its string
+        payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -259,10 +242,10 @@ def fit_bridge_stage(eligible, card_refs) -> tuple[BridgeModel | None, dict]:
         if card_ref is None:
             continue
         try:
+            h1 = gpu_hours_direct(system.training_hours, system.hardware_quantity).value
             h2 = gpu_hours_from_flop(system.training_flop, card_ref.reference).value
-        except MissingPeakError:
+        except EstimationError:  # no usable peak, or hours outside the float range
             continue
-        h1 = system.training_hours * system.hardware_quantity
         pairs.append((system, h1, h2))
     clean, anomalous = detect_anomalies(pairs)
     counts = {"pairs": len(pairs), "clean": len(clean), "anomalous": len(anomalous)}
@@ -290,7 +273,7 @@ def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
             estimate = estimate_gpu_hours(
                 system, card_ref, bridge, apply_bridge=apply_bridge and bridge is not None
             )
-        except (EstimationError, MissingPeakError) as exc:
+        except EstimationError as exc:
             skipped.append((system.name, str(exc)))
             continue
         rows.append((system, card_ref, estimate))
@@ -350,10 +333,10 @@ def trend_stage(bundle: Bundle, impacts):
     for metric in ("gwp_kg", "adpe_kgsb"):
         points = [(c.release_date, getattr(impact, metric), c.name) for c, impact in production]
         series.append((f"card_production_{metric}", _chronological(points), _CARD_TREND_WEIGHTING))
+    impacts = sorted(impacts, key=lambda r: (r.publication_date, r.system_name))
     for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
-        points = [(r.publication_date, getattr(r, metric).reference, r.system_name)
-                  for r in impacts]
-        series.append((f"system_{metric}", _chronological(points), _SYSTEM_TREND_WEIGHTING))
+        points = [(r.publication_date, getattr(r, metric).reference) for r in impacts]
+        series.append((f"system_{metric}", points, _SYSTEM_TREND_WEIGHTING))
     quantities = [
         (s.publication_date, float(s.hardware_quantity), s.name)
         for s in bundle.systems
@@ -548,7 +531,6 @@ class Run:
             "card_trend_weighting": _CARD_TREND_WEIGHTING,
             "scenario_ratio": config.scenario_ratio if "scenario" in ran else None,
             "gwp_floor": config.gwp_floor,
-            "seed": config.seed,
             "cpu_embodied_allocation": "cpus_per_server/gpus_per_server per card",
         }
 

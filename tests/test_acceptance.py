@@ -428,10 +428,7 @@ def test_criterion_10_end_to_end_determinism_and_performance(tmp_path, capsys):
     durations = []
     for run_dir in ("run_a", "run_b"):
         start = time.perf_counter()
-        code = main(
-            ["report", "--systems", str(systems_path),
-             "--out", str(tmp_path / run_dir), "--seed", "404"]
-        )
+        code = main(["report", "--systems", str(systems_path), "--out", str(tmp_path / run_dir)])
         durations.append(time.perf_counter() - start)
         assert code == 0
     capsys.readouterr()

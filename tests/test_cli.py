@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from scipy import stats as sps
 
 from mlca_trends import pipeline
 from mlca_trends.catalog import LATEST_RELEASE_YEAR
-from mlca_trends.cli import main
+from mlca_trends.cli import _build_parser, _config_from_args, main
 from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
     OUTPUT_SCHEMAS,
@@ -43,9 +44,16 @@ class TestRunPipeline:
         assert summary.counts["estimates"] > 0
         assert summary.provenance["bridge_log_base"] == "natural"
 
+    def test_none_means_no_file_and_str_paths_work(self, tmp_path):
+        config = RunConfig(out=str(tmp_path / "out"), cards_extra=None,
+                           systems=str(default_data_path("systems_sample.csv")))
+        run = run_pipeline(config, only={"catalog.csv"})
+        assert run.counts["cards_total"] == run.counts["cards_workstation"]
+        assert (tmp_path / "out" / "catalog.csv").is_file()
+
     def test_byte_identical_reruns(self, tmp_path):
-        run_pipeline(RunConfig(out=tmp_path / "a", seed=7))
-        run_pipeline(RunConfig(out=tmp_path / "b", seed=7))
+        run_pipeline(RunConfig(out=tmp_path / "a"))
+        run_pipeline(RunConfig(out=tmp_path / "b"))
         assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
     def test_output_schemas_stable(self, tmp_path):
@@ -382,6 +390,35 @@ class TestCliCommands:
         assert code == 1
         assert "error [config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_each_run_setting_is_a_flag_and_an_env_key(self, tmp_path, monkeypatch, field):
+        default = getattr(RunConfig(), field.name)
+        # field type -> ((flag text, its value), (MLCA_TRENDS_CONFIG value, its value))
+        (flag_text, flag_value), (env_json, env_value) = {
+            "Path": (("flag.csv", Path("flag.csv")), ("env.csv", Path("env.csv"))),
+            "float": (("0.2", 0.2), (0.1, 0.1)),
+            "bool": ((str(default).lower(), default), (not default, not default)),
+        }[field.type.removesuffix(" | None")]
+        assert env_value not in (default, flag_value)
+
+        def setting(*flags):
+            return getattr(_config_from_args(_build_parser().parse_args(["report", *flags])),
+                           field.name)
+
+        flag = f"--{field.name.replace('_', '-')}={flag_text}"
+        monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
+        assert (setting(), setting(flag)) == (default, flag_value)
+        env_file = tmp_path / "config.json"
+        env_file.write_text(json.dumps({field.name: env_json}), encoding="utf-8")
+        monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+        assert (setting(), setting(flag)) == (env_value, flag_value)
+
+    def test_seed_is_no_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as usage_error:
+            main(["report", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert usage_error.value.code == 2
+        assert not (tmp_path / "out").exists()
+
 
 SYSTEMS_HEADER = (
     "name,publication_date,training_flop,hardware_names,hardware_quantity,"
@@ -505,7 +542,7 @@ _MALFORMED_INPUTS = {
             ("lca", "--server-profiles", "server_profiles.json", []),
         ]
     },
-    "env-config-not-utf8": ("config", None, b'{"seed": 1}' + _NOT_UTF8, []),
+    "env-config-not-utf8": ("config", None, b'{"gwp_floor": 1}' + _NOT_UTF8, []),
     "systems-huge-cell": (
         "systems", "--systems", (SYSTEMS_HEADER + "Big," + "x" * 200_000 + "\n").encode(), []
     ),
@@ -600,6 +637,27 @@ class TestInputBoundary:
         assert sorted(written["energy"]) == ["embodied_shares.csv", "impacts.csv"]
         assert written["energy"] == written["bundled"]
 
+    @pytest.mark.parametrize(
+        "command,row,count,expected",
+        [  # the bundled table alone gives estimate_skips 0 and bridge_pairs 10
+            ("estimate", "Tiny,2021-01-01,1e-320,A100,,,USA,unknown,false", "estimate_skips", 1),
+            ("bridge", "Tiny,2021-01-01,1e-320,A100,8,100,USA,unknown,false", "bridge_pairs", 10),
+            ("report", "Huge,2021-01-01,1e21,A100,1e300,1e10,USA,unknown,false",
+             "estimate_skips", 1),
+        ],
+    )
+    def test_gpu_hours_outside_the_float_range_skip_the_system(
+        self, tmp_path, capsys, command, row, count, expected
+    ):
+        systems = tmp_path / "systems.csv"
+        systems.write_bytes(_bundled("systems_sample.csv") + f"{row}\n".encode())
+        out = tmp_path / "out"
+        assert main([command, "--systems", str(systems), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"][count] == expected
+        for written in out.iterdir():
+            text = written.read_text(encoding="utf-8")
+            assert not {"inf", "-inf", "Infinity"} & set(text.replace(",", " ").split()), written
+
     @pytest.mark.parametrize("command", ["report", "trends"])
     def test_a_production_impact_that_overflows_drops_the_card(self, tmp_path, capsys, command):
         factors = json.loads(default_data_path("impact_factors.json").read_text(encoding="utf-8"))
@@ -643,8 +701,10 @@ class TestInputBoundary:
             {"scenario_ratio": "0.1"},
             {"scenario_ratio": True},
             {"gwp_floor": "50"},
+            {"seed": 1},
             {"seed": 1.5},
-            {"seed": False},
+            {"gwp_floor": False},
+            {"gwp_floor": 10**400},
             {"apply_bridge": "yes"},
             {"apply_bridge": 1},
             {"cards": 5},
@@ -666,16 +726,14 @@ class TestInputBoundary:
         env_file = tmp_path / "config.json"
         env_file.write_text(
             json.dumps({"apply_bridge": False, "scenario_ratio": 0.25, "gwp_floor": 10,
-                        "seed": 3, "out": str(tmp_path / "env_out")}),
+                        "out": str(tmp_path / "env_out")}),
             encoding="utf-8",
         )
         monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
         assert main(["report"]) == 0
         provenance = json.loads(capsys.readouterr().out)["provenance"]
         assert provenance["apply_bridge"] is False
-        assert (provenance["scenario_ratio"], provenance["gwp_floor"], provenance["seed"]) == (
-            0.25, 10.0, 3
-        )
+        assert (provenance["scenario_ratio"], provenance["gwp_floor"]) == (0.25, 10.0)
         assert (tmp_path / "env_out" / "scenario_0.25.csv").is_file()
 
     @pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))

@@ -40,6 +40,10 @@ class TestDirect:
         with pytest.raises(EstimationError):
             gpu_hours_direct(10.0, 0)
 
+    def test_hours_past_the_float_range_rejected(self):
+        with pytest.raises(EstimationError, match="finite"):
+            gpu_hours_direct(1e10, 10**300)
+
 
 class TestFromFlop:
     def test_hand_arithmetic(self):
@@ -75,6 +79,10 @@ class TestFromFlop:
     def test_non_positive_flop_rejected(self):
         with pytest.raises(EstimationError):
             gpu_hours_from_flop(0.0, make_card())
+
+    def test_hours_that_underflow_to_zero_rejected(self):
+        with pytest.raises(EstimationError, match="finite"):
+            gpu_hours_from_flop(1e-320, make_card())
 
 
 class TestAnomalies:
@@ -195,6 +203,15 @@ class TestEstimatePolicy:
         assert est.method == "flop_based_bridged"
         assert est.value == pytest.approx(math.exp(1.31) * 1000.0, rel=1e-6)
         assert est.value == pytest.approx(1000.0 / bridge.performance_ratio, rel=1e-9)
+
+    def test_bridged_hours_past_the_float_range_rejected(self):
+        h2 = np.geomspace(1.0, 1e6, 10)
+        bridge = fit_bridge(list(zip(h2**2, h2)))  # slope 2
+        card = make_card(peak_fp32=1e14)
+        sys = system(training_flop=1e14 * 3600.0 * 1e200, hardware_names=("Card X",))
+        assert estimate_gpu_hours(sys, reference([card]), bridge, apply_bridge=False).value > 0
+        with pytest.raises(EstimationError, match="bridged"):
+            estimate_gpu_hours(sys, reference([card]), bridge)
 
     def test_raw_flop_estimate_when_bridge_off(self):
         card = make_card(peak_fp32=1e14)

@@ -44,7 +44,6 @@ OPTIONS = [
     *(("--scenario-ratio", v) for v in ["0", "0.1", "0.3", "1", "-0.1", "1.5", "nan", "-inf"]),
     *(("--gwp-floor", v) for v in ["0", "1e9", "-1", "nan", "inf"]),
     *(("--apply-bridge", v) for v in ["true", "false"]),
-    *(("--seed", v) for v in ["-5", "123456789012345678901234567890"]),
 ]
 ERROR_LINE = re.compile(r"error \[[a-z]+\]: \S")
 
