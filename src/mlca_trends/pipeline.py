@@ -18,9 +18,9 @@ import dataclasses
 import gc
 import hashlib
 import json
-import math
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,7 +155,7 @@ class RunConfig:
     gwp_floor: float = 50.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gwp_floor) and self.gwp_floor >= 0):
+        if not 0 <= self.gwp_floor <= sys.float_info.max:  # nan, inf and huge ints fail
             raise PipelineError(f"gwp floor must be a finite number >= 0, got {self.gwp_floor}")
         if self.scenario_ratio is not None and not 0 <= self.scenario_ratio <= 1:
             raise PipelineError(f"scenario ratio must be in [0, 1], got {self.scenario_ratio}")

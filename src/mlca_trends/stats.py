@@ -16,16 +16,21 @@ Diagnostics:
     the p-value is indicative only. Reported p is one-sided for positive
     autocorrelation (small D -> small p).
 
-The F, chi-square and normal tails come from scipy.special (fdtrc, chdtrc,
-ndtr), the functions scipy.stats evaluates for f.sf, chi2.sf and norm.cdf.
-scipy.special is imported by the functions that use it, not at module load,
-and scipy.stats is never imported: only bridge.json needs a p-value.
+The F, chi-square and normal tails are scipy.special's fdtrc, chdtrc and
+ndtr, the functions scipy.stats evaluates for f.sf, chi2.sf and norm.cdf.
+They are loaded on first use, not at module load, and only from the compiled
+module scipy.special._ufuncs: the package __init__ would also load scipy's
+array-API layer (with numpy.f2py and numpy.testing), about 80 ms of the
+package's 90 ms import. scipy.stats is never imported: only bridge.json
+needs a p-value.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -80,9 +85,8 @@ class RegressionResult:
         """Upper tail of F(f_df) at f_statistic; 0.0 for a perfect fit."""
         if math.isinf(self.f_statistic):
             return 0.0
-        from scipy.special import fdtrc
         # F can fall below 0 only by rounding; p is then 1, as f.sf gives.
-        return float(fdtrc(*self.f_df, max(self.f_statistic, 0.0)))
+        return float(_ufuncs().fdtrc(*self.f_df, max(self.f_statistic, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,22 @@ class TrendFit:
     n_used: int
     n_excluded: int
     regression: RegressionResult
+
+
+@cache
+def _ufuncs():
+    """scipy.special._ufuncs without the package __init__: it is imported
+    under an unexecuted scipy.special module, which then leaves sys.modules
+    (so no other thread may import scipy.special meanwhile). A later
+    `import scipy.special` runs the __init__ and reuses these ufuncs."""
+    name = "scipy.special"
+    if name in sys.modules:
+        return importlib.import_module(name + "._ufuncs")
+    sys.modules[name] = importlib.util.module_from_spec(importlib.util.find_spec(name))
+    try:
+        return importlib.import_module(name + "._ufuncs")
+    finally:
+        del sys.modules[name]
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -211,8 +231,7 @@ def durbin_watson(residuals) -> tuple[float, float]:
     if denom == 0.0:
         raise DegenerateDataError("all residuals are zero")
     d = float(np.sum(np.diff(e) ** 2) / denom)
-    from scipy.special import ndtr
-    p = float(ndtr((d - 2.0) / (2.0 / math.sqrt(n))))
+    p = float(_ufuncs().ndtr((d - 2.0) / (2.0 / math.sqrt(n))))
     return d, p
 
 
@@ -230,8 +249,7 @@ def breusch_pagan_studentized(x, residuals) -> tuple[float, float]:
         raise StatsError(f"need at least 3 observations, got {x.size}")
     aux = wls_fit(x, e * e)
     stat = aux.n * aux.r2
-    from scipy.special import chdtrc
-    return float(stat), float(chdtrc(1, max(stat, 0.0)))  # as chi2.sf below 0
+    return float(stat), float(_ufuncs().chdtrc(1, max(stat, 0.0)))  # as chi2.sf below 0
 
 
 def shapiro_wilk(sample) -> tuple[float, float]:

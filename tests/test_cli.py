@@ -15,6 +15,7 @@ from scipy import stats as sps
 from mlca_trends import pipeline
 from mlca_trends.catalog import LATEST_RELEASE_YEAR
 from mlca_trends.cli import _build_parser, _config_from_args, main
+from mlca_trends.errors import PipelineError
 from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
     OUTPUT_SCHEMAS,
@@ -122,13 +123,15 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _fresh_main(commands: list[list[str]]) -> tuple[list[int], list[str]]:
     """Runs main() over each argument list in a fresh interpreter with src on
-    PYTHONPATH; returns the exit codes and the scipy modules then loaded."""
+    PYTHONPATH; returns the exit codes and the scipy and numpy.f2py modules
+    then loaded."""
     script = (
         "import contextlib, io, json, sys\n"
         "from mlca_trends.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(args) for args in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py'))]))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
     env["PYTHONPATH"] = str(_SRC)
@@ -160,17 +163,52 @@ class TestScipyOnDemand:
         ]
         codes, modules = _fresh_main(commands)
         assert codes == [0, 0]
-        assert "scipy.special" in modules
+        assert "scipy.special._ufuncs" in modules
+        # scipy.special's __init__ would load its array-API layer, and with it numpy.f2py.
+        unwanted = {"scipy.special._support_alternative_backends", "scipy._lib._array_api",
+                    "numpy.f2py"}
+        assert not unwanted & set(modules)
         assert not [m for m in modules if m.split(".")[:2] == ["scipy", "stats"]]
 
+    @pytest.mark.parametrize("options", [[], ["-W", "error"]], ids=["default", "W-error"])
+    def test_tails_loaded_without_the_package_init_are_scipys(self, options):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from mlca_trends import stats\n"
+            "ufuncs = stats._ufuncs()\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "import scipy.special, scipy.stats\n"
+            "assert scipy.special._ufuncs is ufuncs\n"
+            "rng = np.random.default_rng(14)\n"
+            "d = rng.integers(1, 5000, 3000).astype(float)\n"
+            "f = np.concatenate([[0.0, 1e300], 10.0 ** rng.uniform(-12, 6, 2998)])\n"
+            "x = np.concatenate([[0.0], 10.0 ** rng.uniform(-12, 4, 2999)])\n"
+            "z = np.concatenate([[-40.0, 40.0], rng.normal(scale=10.0, size=2998)])\n"
+            "pairs = [(ufuncs.fdtrc(1, d, f), scipy.special.fdtrc(1, d, f)),\n"
+            "         (ufuncs.chdtrc(1, x), scipy.special.chdtrc(1, x)),\n"
+            "         (ufuncs.ndtr(z), scipy.special.ndtr(z))]\n"
+            "print([ours.tobytes() == theirs.tobytes() for ours, theirs in pairs])\n"
+        )
+        assert _fresh_python(script, "1", *options) == "[True, True, True]\n"
 
-def _fresh_python(script: str, blas_threads: str) -> str:
-    """Stdout of a script run in a fresh interpreter, with src on PYTHONPATH
-    and the caller's OPENBLAS_NUM_THREADS set to blas_threads."""
+    def test_tails_come_from_a_scipy_special_already_loaded(self):
+        script = (
+            "import sys, scipy.special\n"
+            "from mlca_trends import stats\n"
+            "print(stats._ufuncs() is scipy.special._ufuncs,\n"
+            "      sys.modules['scipy.special'] is scipy.special)\n"
+        )
+        assert _fresh_python(script, "1") == "True True\n"
+
+
+def _fresh_python(script: str, blas_threads: str, *options: str) -> str:
+    """Stdout of a script run in a fresh interpreter with the given options,
+    src on PYTHONPATH and the caller's OPENBLAS_NUM_THREADS set to blas_threads."""
     env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
     env.update(PYTHONPATH=str(_SRC), OPENBLAS_NUM_THREADS=blas_threads)
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = subprocess.run([sys.executable, *options, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -693,6 +731,11 @@ class TestInputBoundary:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [pipeline]")
         assert not out.exists()
+
+    def test_run_config_rejects_an_int_floor_past_the_float_range(self):
+        # A library caller's int, which no flag or config file can pass.
+        with pytest.raises(PipelineError, match="gwp floor must be a finite number >= 0"):
+            RunConfig(gwp_floor=10**400)
 
     @pytest.mark.parametrize(
         "bundle",
