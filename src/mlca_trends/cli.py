@@ -154,13 +154,13 @@ def _ingest_summary(run: Run) -> dict:
 
 
 def _scenario_summary(run: Run) -> dict:
-    comparison = run.scenario
+    real, scenario = run.scenario
     return {
-        "ratio": comparison.ratio,
-        "excluded_real": comparison.excluded_real,
-        "excluded_scenario": comparison.excluded_scenario,
-        "growth_factor_real": getattr(comparison.trend_real, "growth_factor", None),
-        "growth_factor_scenario": getattr(comparison.trend_scenario, "growth_factor", None),
+        "ratio": run.config.scenario_ratio,
+        "excluded_real": real.n_excluded,
+        "excluded_scenario": scenario.n_excluded,
+        "growth_factor_real": getattr(real.fit, "growth_factor", None),
+        "growth_factor_scenario": getattr(scenario.fit, "growth_factor", None),
         "outputs": run.output_files,
     }
 

@@ -6,9 +6,10 @@ each stage at most once, when an output first needs it; `run_pipeline` writes
 a set of named outputs through it (by default the report's coverage.csv,
 bridge.json, estimates.csv, impacts.csv, trends.csv and embodied_shares.csv,
 plus scenario_<ratio>.csv when a scenario is requested), so a stage
-subcommand computes only the stages behind its own files.
-Outputs are deterministic: identical inputs and config produce byte-identical
-files.
+subcommand computes only the stages behind its own files. The trend and
+scenario stages return `Series` records (dated points and their fit), and one
+point-row and one trend-row builder write both series files. Outputs are
+deterministic: identical inputs and config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib.resources import files as _resource_files
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -84,7 +86,7 @@ from .systems import (
 __all__ = [
     "Run",
     "RunConfig",
-    "ScenarioComparison",
+    "Series",
     "default_data_path",
     "run_pipeline",
 ]
@@ -184,13 +186,34 @@ class Bundle:
 
 
 @dataclass(frozen=True)
-class ScenarioComparison:
-    ratio: float
-    points: list  # (series, system_name, date, gwp_kg, included)
-    excluded_real: int
-    excluded_scenario: int
-    trend_real: TrendFit | None
-    trend_scenario: TrendFit | None
+class Series:
+    """Named (date, value) points in output order and their exponential trend
+    fit, None when it cannot be fitted. A series filtered before its fit (the
+    scenario pair) also holds each point's label and whether the filter kept it."""
+
+    name: str
+    points: list
+    fit: TrendFit | None
+    labels: list | None = None
+    included: list | None = None
+
+    @property
+    def n_excluded(self) -> int | None:
+        """Points left out of the fit: the non-positive values of an unfiltered
+        series (None without a fit), or the points a filtered series dropped."""
+        if self.included is None:
+            return getattr(self.fit, "n_excluded", None)
+        return self.included.count(False)
+
+
+def _series(name, points, weighting, labels=None, included=None) -> Series:
+    """The series with its fit over the included points, if exp_trend can fit them."""
+    kept = points if included is None else [p for p, keep in zip(points, included) if keep]
+    try:
+        fit = exp_trend(kept, weighting=weighting)
+    except StatsError:
+        fit = None  # too few positive points or degenerate; points still emitted
+    return Series(name, points, fit, labels, included)
 
 
 def load_bundle(config: RunConfig) -> Bundle:
@@ -311,12 +334,7 @@ def impact_stage(bundle: Bundle, estimate_rows):
     return impacts, skipped
 
 
-def _chronological(points):
-    """(date, value) pairs of (date, value, name) triples, by date then name."""
-    return [(d, v) for d, v, _ in sorted(points, key=lambda p: (p[0], p[2]))]
-
-
-def trend_stage(bundle: Bundle, impacts):
+def trend_stage(bundle: Bundle, impacts) -> list[Series]:
     """All plot-ready series with their fits: card characteristics, card
     production impacts, per-system footprints, hardware quantities."""
     cards = bundle.workstation_cards
@@ -325,95 +343,48 @@ def trend_stage(bundle: Bundle, impacts):
         for name in ("die_area", "process_node", "memory_size", "tdp")
     ]
     production = []
-    for card in cards:
+    for card in sorted(cards, key=lambda c: (c.release_date, c.name)):
         try:
-            production.append((card, production_impact(card, bundle.factors)))
+            production.append((card.release_date, production_impact(card, bundle.factors)))
         except CannotEstimateError:
             continue
     for metric in ("gwp_kg", "adpe_kgsb"):
-        points = [(c.release_date, getattr(impact, metric), c.name) for c, impact in production]
-        series.append((f"card_production_{metric}", _chronological(points), _CARD_TREND_WEIGHTING))
+        points = [(date, getattr(impact, metric)) for date, impact in production]
+        series.append((f"card_production_{metric}", points, _CARD_TREND_WEIGHTING))
     impacts = sorted(impacts, key=lambda r: (r.publication_date, r.system_name))
     for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
         points = [(r.publication_date, getattr(r, metric).reference) for r in impacts]
         series.append((f"system_{metric}", points, _SYSTEM_TREND_WEIGHTING))
-    quantities = [
-        (s.publication_date, float(s.hardware_quantity), s.name)
-        for s in bundle.systems
-        if s.hardware_quantity is not None
-    ]
-    series.append(("hardware_quantity", _chronological(quantities), _SYSTEM_TREND_WEIGHTING))
-
-    fitted = []
-    for name, points, weighting in series:
-        try:
-            fit = exp_trend(points, weighting=weighting)
-        except StatsError:
-            fit = None  # too few positive points or degenerate; points still emitted
-        fitted.append((name, points, fit, weighting))
-    return fitted
+    quantified = sorted(
+        (s for s in bundle.systems if s.hardware_quantity is not None),
+        key=lambda s: (s.publication_date, s.name),
+    )
+    points = [(s.publication_date, float(s.hardware_quantity)) for s in quantified]
+    series.append(("hardware_quantity", points, _SYSTEM_TREND_WEIGHTING))
+    return [_series(name, points, weighting) for name, points, weighting in series]
 
 
-def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> ScenarioComparison:
-    """Real vs carbon-intensity-reduction footprints for post-2019 systems.
+def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> list[Series]:
+    """The [real, scenario] footprints of post-2019 systems, in impact order.
 
     The real series is the run's impacts; the scenario series reprices each
-    one's reference usage phase. Both series drop systems whose carbon
-    footprint falls below the floor; exclusion counts are reported per series.
+    one's reference usage phase. Each series fits only the systems whose
+    footprint reaches the floor, and counts the others in n_excluded.
     """
-    if not any(r.publication_date.year >= 2019 for r in impacts_real):
+    post = [r for r in impacts_real if r.publication_date.year >= 2019]
+    if not post:
         raise PipelineError("no post-2019 systems; scenario comparison is empty")
-    points = []
-    excluded = {"real": 0, "scenario": 0}
-    fits = {}
-    for series in ("real", "scenario"):
-        kept = []
-        for r in impacts_real:
-            if r.publication_date.year < 2019:
-                continue
-            value = r.gwp_kg.reference if series == "real" else scenario_gwp(r, ratio)
-            included = value >= gwp_floor
-            if not included:
-                excluded[series] += 1
-            else:
-                kept.append((r.publication_date, value))
-            points.append((series, r.system_name, r.publication_date, value, included))
-        try:
-            fits[series] = exp_trend(kept, weighting=_SYSTEM_TREND_WEIGHTING)
-        except StatsError:
-            fits[series] = None
-    return ScenarioComparison(
-        ratio, points, excluded["real"], excluded["scenario"], fits["real"], fits["scenario"]
-    )
+    labels = [r.system_name for r in post]
+    real = [(r.publication_date, r.gwp_kg.reference) for r in post]
+    reduced = [(r.publication_date, scenario_gwp(r, ratio)) for r in post]
+    return [
+        _series(name, points, _SYSTEM_TREND_WEIGHTING, labels, [v >= gwp_floor for _, v in points])
+        for name, points in (("real", real), ("scenario", reduced))
+    ]
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _trend_cells(fit: TrendFit | None):
-    if fit is None:
-        return ["", "", "", "", "", "", "", ""]
-    return [
-        fit.slope_per_year, fit.intercept, fit.growth_factor, fit.cagr_pct,
-        fit.doubling_time_years, fit.weighting, fit.n_used, fit.n_excluded,
-    ]
-
-
-def write_scenario_csv(path: Path, comparison: ScenarioComparison) -> None:
-    rows = []
-    for series, system_name, date, value, included in comparison.points:
-        rows.append(
-            [series, "point", system_name, date, round(to_fractional_year(date), 6), value,
-             "true" if included else "false", "", "", "", "", "", "", "", ""]
-        )
-    for series, fit, n_excl in (
-        ("real", comparison.trend_real, comparison.excluded_real),
-        ("scenario", comparison.trend_scenario, comparison.excluded_scenario),
-    ):
-        cells = _trend_cells(fit)
-        rows.append([series, "trend", "", "", "", "", "", *cells[:6], cells[6], n_excl])
-    _write_csv(path, OUTPUT_SCHEMAS["scenario.csv"], rows)
 
 
 class Run:
@@ -481,7 +452,7 @@ class Run:
         )
 
     @cached_property
-    def scenario(self) -> ScenarioComparison:
+    def scenario(self) -> list[Series]:
         return _scenario_from_rows(
             self.impacts[0], self.config.scenario_ratio, self.config.gwp_floor
         )
@@ -574,13 +545,39 @@ def _bridge_payload(bridge: BridgeModel | None, counts: dict) -> dict:
     }
 
 
-def _trend_rows(trends):
-    for name, points, fit, weighting in trends:
-        for date, value in points:
-            yield [name, "point", "", date, round(to_fractional_year(date), 6), value,
-                   "", "", "", "", "", "", "", ""]
-        if fit is not None:
-            yield [name, "trend", "", "", "", "", *_trend_cells(fit)]
+@cache
+def _date_cells(date) -> tuple[str, str]:
+    """A point row's date and fractional-year cells, formatted once per date."""
+    return date.isoformat(), format_cell(round(to_fractional_year(date), 6))
+
+
+_BLANK_FIT = ("",) * 8  # a point row's fit cells
+_FIT_CELLS = ("slope_per_year", "intercept", "growth_factor", "cagr_pct", "doubling_time_years",
+              "weighting", "n_used")
+
+
+def _point_rows(series: Series):
+    """A row per point; a filtered series adds its labels and included flags."""
+    name = series.name
+    if series.included is None:
+        return ([name, "point", "", *_date_cells(d), v, *_BLANK_FIT] for d, v in series.points)
+    return ([name, "point", label, *_date_cells(d), v, "true" if kept else "false", *_BLANK_FIT]
+            for label, (d, v), kept in zip(series.labels, series.points, series.included))
+
+
+def _trend_row(series: Series) -> list:
+    """The trend row of a series: blank fit cells when it has no fit."""
+    included = () if series.included is None else ("",)
+    return [series.name, "trend", "", "", "", "", *included,
+            *(getattr(series.fit, name, "") for name in _FIT_CELLS), series.n_excluded]
+
+
+def _trends_csv_rows(trends: list[Series]):
+    """Each series' points, then its trend row if it was fitted."""
+    for series in trends:
+        yield from _point_rows(series)
+        if series.fit is not None:
+            yield _trend_row(series)
 
 
 # Output name -> writer(run, path). A writer reads only the stages its file
@@ -609,14 +606,17 @@ WRITERS = {
         for r in run.impacts[0]
     )),
     "trends.csv": lambda run, path: _write_csv(
-        path, OUTPUT_SCHEMAS["trends.csv"], _trend_rows(run.trends)
+        path, OUTPUT_SCHEMAS["trends.csv"], _trends_csv_rows(run.trends)
     ),
     "embodied_shares.csv": lambda run, path: _write_csv(
         path, OUTPUT_SCHEMAS["embodied_shares.csv"],
         ([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n, s.excluded]
          for s in run.shares[0]),
     ),
-    "scenario.csv": lambda run, path: write_scenario_csv(path, run.scenario),
+    # the points of both series, then both trend rows, fitted or not
+    "scenario.csv": lambda run, path: _write_csv(path, OUTPUT_SCHEMAS["scenario.csv"], chain(
+        *map(_point_rows, run.scenario), map(_trend_row, run.scenario)
+    )),
 }
 REPORT_OUTPUTS = (
     "coverage.csv", "bridge.json", "estimates.csv", "impacts.csv", "trends.csv",

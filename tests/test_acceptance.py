@@ -331,15 +331,15 @@ def _scenario_fixture(tmp_path) -> RunConfig:
 def test_criterion_08_scenario_comparison(tmp_path):
     config = _scenario_fixture(tmp_path)
 
-    identical = Run(dataclasses.replace(config, scenario_ratio=0.0)).scenario
-    real_pts = sorted((n, v) for s, n, _, v, _ in identical.points if s == "real")
-    scen_pts = sorted((n, v) for s, n, _, v, _ in identical.points if s == "scenario")
+    real, scenario = Run(dataclasses.replace(config, scenario_ratio=0.0)).scenario
+    real_pts = sorted((n, v) for n, (_, v) in zip(real.labels, real.points))
+    scen_pts = sorted((n, v) for n, (_, v) in zip(scenario.labels, scenario.points))
     assert real_pts == scen_pts
-    assert identical.excluded_real == identical.excluded_scenario
+    assert real.n_excluded == scenario.n_excluded
 
-    comparison = Run(dataclasses.replace(config, scenario_ratio=0.25)).scenario
-    gf_real = comparison.trend_real.growth_factor
-    gf_scenario = comparison.trend_scenario.growth_factor
+    real, scenario = Run(dataclasses.replace(config, scenario_ratio=0.25)).scenario
+    gf_real = real.fit.growth_factor
+    gf_scenario = scenario.fit.growth_factor
     assert gf_real == pytest.approx(4.0, rel=1e-9)
     assert gf_scenario / gf_real == pytest.approx(0.75, rel=0.02)
     _report(

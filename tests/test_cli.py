@@ -13,7 +13,7 @@ import pytest
 from scipy import stats as sps
 
 from mlca_trends import pipeline
-from mlca_trends.catalog import LATEST_RELEASE_YEAR
+from mlca_trends.catalog import CARD_COLUMNS, LATEST_RELEASE_YEAR
 from mlca_trends.cli import _build_parser, _config_from_args, main
 from mlca_trends.errors import PipelineError
 from mlca_trends.estimation import fit_bridge
@@ -25,6 +25,7 @@ from mlca_trends.pipeline import (
     run_pipeline,
 )
 from mlca_trends.stats import wls_fit
+from mlca_trends.systems import SYSTEM_COLUMNS
 
 REPORT_FILES = [
     "coverage.csv", "bridge.json", "estimates.csv",
@@ -282,25 +283,107 @@ class TestWarnings:
 
 class TestScenarioCompare:
     def test_zero_ratio_series_identical(self, tmp_path):
-        comparison = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.0)).scenario
-        real = {(s, n): (v, inc) for s, n, _, v, inc in comparison.points if s == "real"}
-        scen = {(("real", n)): (v, inc) for s, n, _, v, inc in comparison.points if s == "scenario"}
+        pair = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.0)).scenario
+        real, scen = (
+            {n: (v, inc) for n, (_, v), inc in zip(s.labels, s.points, s.included)} for s in pair
+        )
         assert len(real) == len(scen) > 0
-        for (_, name), (value, included) in real.items():
-            assert scen[("real", name)] == (value, included)
-        assert comparison.excluded_real == comparison.excluded_scenario
+        for name, (value, included) in real.items():
+            assert scen[name] == (value, included)
+        assert pair[0].n_excluded == pair[1].n_excluded
 
     def test_reduction_lowers_footprints(self, tmp_path):
-        comparison = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.25)).scenario
-        by_series = {"real": {}, "scenario": {}}
-        for series, name, date, value, _ in comparison.points:
-            by_series[series][name] = (date, value)
+        pair = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.25)).scenario
+        by_series = {s.name: dict(zip(s.labels, s.points)) for s in pair}
         assert by_series["real"].keys() == by_series["scenario"].keys()
         for name, (date, value) in by_series["real"].items():
             reduced = by_series["scenario"][name][1]
             assert reduced <= value + 1e-9
             if date.year > 2019:
                 assert reduced < value  # usage share shrinks, embodied stays
+
+
+def _write_table(path: Path, header: list[str], rows: list[list]) -> Path:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    return path
+
+
+def _rows_by_series(path: Path) -> dict[str, list[dict]]:
+    by_series = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            by_series.setdefault(row["series"], []).append(row)
+    return by_series
+
+
+class TestSeriesLayouts:
+    """Layout cases the bundled data never reaches: a series without a fit,
+    a non-positive value, and a zero footprint at a zero GWP floor."""
+
+    def test_unfitted_series_and_non_positive_values(self, tmp_path):
+        cards = _write_table(tmp_path / "cards.csv", CARD_COLUMNS, [
+            # only Edge A and Edge D list a process node; Edge C has no memory
+            ["Edge A", "NVIDIA", "2016-01-01", 100, 16, 8, "GDDR5", 150, "", 1e13, "", ""],
+            ["Edge B", "NVIDIA", "2017-01-01", 200, "", 16, "GDDR5", 200, "", 2e13, "", ""],
+            ["Edge C", "NVIDIA", "2018-01-01", 300, "", 0, "GDDR5", 250, "", 3e13, "", ""],
+            ["Edge D", "NVIDIA", "2019-01-01", 400, 7, 32, "HBM2", 300, "", 4e13, "", ""],
+        ])
+
+        def system(name, date, quantity, hours, country):
+            values = {"name": name, "publication_date": date, "hardware_names": "Edge A",
+                      "hardware_quantity": quantity, "training_hours": hours,
+                      "countries": country, "confidence": "confident", "finetuned": "false"}
+            return [values.get(column, "") for column in SYSTEM_COLUMNS]
+
+        base = RunConfig(cards=cards, cards_extra=None, scenario_ratio=0.1)
+
+        # Two large runs above the default 50 kg floor and two tiny ones below it
+        systems = _write_table(tmp_path / "systems_a.csv", SYSTEM_COLUMNS, [
+            system("Big 1", "2020-03-01", 100, 10000, "USA"),
+            system("Big 2", "2021-03-01", 100, 10000, "USA"),
+            system("Tiny 1", "2021-06-01", 1, 1, "USA"),
+            system("Tiny 2", "2022-03-01", 1, 1, "USA"),
+        ])
+        run_pipeline(dataclasses.replace(base, out=tmp_path / "a", systems=systems))
+        trends = _rows_by_series(tmp_path / "a" / "trends.csv")
+        assert [r["kind"] for r in trends["card_process_node"]] == ["point", "point"]
+        assert trends["card_memory_size"][-1]["kind"] == "trend"
+        assert trends["card_memory_size"][-1]["n_excluded"] == "1"
+        scenario = _rows_by_series(tmp_path / "a" / "scenario_0.1.csv")
+        for name in ("real", "scenario"):
+            *points, trend = scenario[name]
+            assert [r["included"] for r in points] == ["true", "true", "false", "false"]
+            assert trend["kind"] == "trend"
+            fit_columns = OUTPUT_SCHEMAS["scenario.csv"][6:-1]
+            assert [trend[column] for column in fit_columns] == [""] * len(fit_columns)
+            assert trend["n_excluded_floor"] == "2"
+
+        # Zero production factors, and a 0 g/kWh mix for one of four systems
+        factors = tmp_path / "zero_factors.json"
+        factors.write_text(json.dumps({
+            key: {"gwp_kg": 0, "adpe_kgsb": 0}
+            for key in ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production")
+        }), encoding="utf-8")
+        mixes = _write_table(
+            tmp_path / "mixes.csv",
+            ["country", "carbon_intensity_g_per_kwh", "adpe_kgsb_per_kwh"],
+            [["WLD", 475, 1.2e-8], ["USA", 380, 1.1e-8], ["ZZZ", 0, 0]],
+        )
+        systems = _write_table(tmp_path / "systems_b.csv", SYSTEM_COLUMNS, [
+            system("Big 1", "2020-03-01", 100, 10000, "USA"),
+            system("Big 2", "2021-03-01", 100, 10000, "USA"),
+            system("Big 3", "2022-03-01", 100, 10000, "USA"),
+            system("Clean", "2022-06-01", 100, 10000, "ZZZ"),
+        ])
+        run_pipeline(dataclasses.replace(base, out=tmp_path / "b", systems=systems,
+                                         factors=factors, mixes=mixes, gwp_floor=0.0))
+        scenario = _rows_by_series(tmp_path / "b" / "scenario_0.1.csv")
+        for name in ("real", "scenario"):
+            *points, trend = scenario[name]
+            clean = next(r for r in points if r["system"] == "Clean")
+            assert (float(clean["gwp_kg"]), clean["included"]) == (0.0, "true")
+            assert (trend["n_used"], trend["n_excluded_floor"]) == ("3", "0")
 
 
 class TestCliCommands:

@@ -1,7 +1,8 @@
 """Property tests of the model's invariants: every interval keeps
 min <= reference <= max, embodied impacts never exceed totals, and a larger
 carbon-intensity reduction ratio never raises a footprint nor takes it below
-its embodied part."""
+its embodied part. The series files' memoized date cells equal the cells
+formatted afresh."""
 
 import datetime as dt
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mlca_trends.catalog import CardReference
 from mlca_trends.estimation import GpuHoursEstimate
+from mlca_trends.inputs import format_cell
 from mlca_trends.intervals import EstimateInterval
 from mlca_trends.lca import (
     ElectricityMix,
@@ -22,7 +24,8 @@ from mlca_trends.lca import (
     scenario_gwp,
     system_impact,
 )
-from mlca_trends.pipeline import default_data_path
+from mlca_trends.pipeline import _date_cells, default_data_path
+from mlca_trends.stats import to_fractional_year
 from mlca_trends.systems import SystemRecord
 from tests.conftest import make_card
 
@@ -179,3 +182,20 @@ def test_scenario_footprint_does_not_rise_with_the_ratio(case, r1, r2):
     low, high = sorted((r1, r2))
     impact = _impact(case)
     assert impact.embodied_ref.gwp_kg <= scenario_gwp(impact, high) <= scenario_gwp(impact, low)
+
+
+# Any date from 1990 to 2100, plus the leap days and leap-year ends that a
+# uniform draw rarely hits.
+point_dates = st.one_of(
+    st.dates(dt.date(1990, 1, 1), dt.date(2100, 12, 31)),
+    st.sampled_from([dt.date(year, month, day) for year in range(1992, 2100, 4)
+                     for month, day in ((2, 29), (12, 31))]),
+)
+
+
+@PROPERTY
+@given(point_dates)
+def test_memoized_date_cells_equal_fresh_ones(date):
+    fresh = (date.isoformat(), format_cell(round(to_fractional_year(date), 6)))
+    assert _date_cells(date) == fresh
+    assert _date_cells(dt.date.fromordinal(date.toordinal())) == fresh  # a memo hit
