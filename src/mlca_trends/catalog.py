@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import CatalogError, UnresolvedCardError
-from .inputs import parse_date, parse_number, read_csv, read_json, write_csv
+from .inputs import parse_date, parse_number, read_csv, read_json
 
 __all__ = [
     "CARD_COLUMNS",
@@ -30,7 +30,7 @@ __all__ = [
     "CardIndex",
     "normalize_name",
     "parse_card_table",
-    "serialize_card_table",
+    "card_rows",
     "merge_catalogs",
     "load_overrides",
     "load_plausibility",
@@ -214,12 +214,12 @@ def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]
     return cards, errors
 
 
-def serialize_card_table(cards, path) -> None:
-    """Write cards back to the canonical CSV schema (parse round-trips)."""
-    write_csv(path, CARD_COLUMNS, (
+def card_rows(cards):
+    """Cards as rows of CARD_COLUMNS cells, which parse back to the same cards."""
+    return (
         ["" if getattr(card, col) is None else str(getattr(card, col)) for col in CARD_COLUMNS]
         for card in cards
-    ))
+    )
 
 
 def _index_by_name(cards, label: str) -> dict[str, CardSpec]:
@@ -263,8 +263,9 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
     compared fields are counted validated. Divergent fields are settled by
     the override table (datasheet values are the reference); without an
     override the first input's value is kept and the entry is flagged
-    unresolved. Single-source cards pass through unchanged. Overrides apply
-    to the merged values unconditionally and must reference a known card.
+    unresolved. Single-source cards pass through unchanged, so with an empty
+    second table the first is only checked for duplicate names. Overrides
+    apply to the merged values unconditionally and must reference a known card.
     """
     overrides = dict(overrides or {})
     index_a = _index_by_name(a, "first")

@@ -18,16 +18,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    CatalogError,
-    ConfigError,
-    EstimationError,
-    LcaError,
-    MlcaTrendsError,
-    PipelineError,
-    StatsError,
-    SystemsError,
-)
+from .errors import ConfigError, MlcaTrendsError
 from .inputs import read_json
 from .pipeline import Run, RunConfig, run_pipeline
 
@@ -39,7 +30,7 @@ _HELP = {
     "out": "output directory (default ./out)",
     "cards": "primary card table CSV (TechPowerUp-style schema)",
     "cards_alt": "second card table CSV to cross-validate against",
-    "cards_extra": "curated non-workstation/accelerator card CSV",
+    "cards_extra": "curated non-workstation/accelerator card CSV (\"\" for none)",
     "overrides": "datasheet override CSV (name,field,value)",
     "systems": "notable ML systems CSV",
     "mixes": "electricity mix CSV (country,ci g/kWh,adpe kgSb/kWh)",
@@ -68,9 +59,13 @@ def _kind(field: dataclasses.Field) -> str:
     return field.type.removesuffix(" | None")
 
 
-def _field_value(kind: str, value):
-    """A flag's or MLCA_TRENDS_CONFIG's value as a RunConfig field of that
-    kind: TypeError if it is none, OverflowError past the float range."""
+def _field_value(field: dataclasses.Field, value):
+    """A flag's or MLCA_TRENDS_CONFIG's value as that RunConfig field's value:
+    None for "" or null where the field may be None (no file, for a path),
+    TypeError if it is none of its kind, OverflowError past the float range."""
+    kind = _kind(field)
+    if value in ("", None) and kind != field.type:
+        return None
     if kind == "Path" and isinstance(value, str):
         return Path(value)
     if kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -78,17 +73,6 @@ def _field_value(kind: str, value):
     if kind == "bool" and (isinstance(value, bool) or value in ("true", "false")):
         return value in (True, "true")
     raise TypeError(value)
-
-
-_STAGE_BY_ERROR = (
-    (CatalogError, "catalog"),
-    (SystemsError, "systems"),
-    (EstimationError, "estimation"),
-    (LcaError, "lca"),
-    (StatsError, "stats"),
-    (ConfigError, "config"),
-    (PipelineError, "pipeline"),
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+    for name, (help_text, _) in _SUBCOMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for field in dataclasses.fields(RunConfig):
             command.add_argument(f"--{field.name.replace('_', '-')}", help=_HELP[field.name],
@@ -112,19 +96,19 @@ def _env_defaults() -> dict:
     if not path:
         return {}
     data = read_json(path, ConfigError, f"{ENV_CONFIG} file")
-    kinds = {field.name: _kind(field) for field in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(data) - set(kinds))
+    fields = {field.name: field for field in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(
-            f"{ENV_CONFIG} file {path} has unknown keys {unknown}; known: {sorted(kinds)}"
+            f"{ENV_CONFIG} file {path} has unknown keys {unknown}; known: {sorted(fields)}"
         )
     values = {}
     for key, value in data.items():
         try:
-            values[key] = _field_value(kinds[key], value)
+            values[key] = _field_value(fields[key], value)
         except (TypeError, OverflowError):
             raise ConfigError(f"{ENV_CONFIG} file {path}: {key!r} must be "
-                              f"{_KINDS[kinds[key]][1]}, got {value!r}") from None
+                              f"{_KINDS[_kind(fields[key])][1]}, got {value!r}") from None
     return values
 
 
@@ -133,7 +117,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = _env_defaults()
     for field in dataclasses.fields(RunConfig):
         if getattr(args, field.name) is not None:
-            values[field.name] = _field_value(_kind(field), getattr(args, field.name))
+            values[field.name] = _field_value(field, getattr(args, field.name))
     return RunConfig(**values)
 
 
@@ -165,22 +149,17 @@ def _scenario_summary(run: Run) -> dict:
     }
 
 
-# Subcommand -> (help, the outputs it writes (None: the report's), its stdout).
-# Writing an output computes only the stages that output needs.
+# Subcommand -> (help, its stdout). The files each writes are pipeline.OUTPUTS'.
 _SUBCOMMANDS = {
-    "ingest": ("parse and merge card tables, normalize the systems table",
-               {"catalog.csv", "systems_normalized.csv", "merge_report.json"}, _ingest_summary),
-    "coverage": ("coverage statistics of the systems table", {"coverage.csv", "coverage.json"},
+    "ingest": ("parse and merge card tables, normalize the systems table", _ingest_summary),
+    "coverage": ("coverage statistics of the systems table",
                  lambda run: {**run.coverage.as_dict(), "outputs": run.output_files}),
-    "bridge": ("fit the log-log bridge between the two GPU-hour estimators", {"bridge.json"},
-               Run.as_dict),
-    "estimate": ("per-system GPU-hour estimates", {"estimates.csv"}, Run.as_dict),
-    "impacts": ("per-system life-cycle impacts and embodied shares",
-                {"impacts.csv", "embodied_shares.csv"}, Run.as_dict),
-    "trends": ("exponential trend fits and plot-ready series", {"trends.csv"}, Run.as_dict),
-    "scenario": ("compare real vs reduced carbon-intensity footprints", {"scenario.csv"},
-                 _scenario_summary),
-    "report": ("full pipeline: all outputs", None, Run.as_dict),
+    "bridge": ("fit the log-log bridge between the two GPU-hour estimators", Run.as_dict),
+    "estimate": ("per-system GPU-hour estimates", Run.as_dict),
+    "impacts": ("per-system life-cycle impacts and embodied shares", Run.as_dict),
+    "trends": ("exponential trend fits and plot-ready series", Run.as_dict),
+    "scenario": ("compare real vs reduced carbon-intensity footprints", _scenario_summary),
+    "report": ("full pipeline: all outputs", Run.as_dict),
 }
 
 
@@ -198,18 +177,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _, outputs, summarize = _SUBCOMMANDS[args.command]
+    _, summarize = _SUBCOMMANDS[args.command]
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            _print_json(summarize(run_pipeline(_config_from_args(args), only=outputs)))
+            _print_json(summarize(run_pipeline(_config_from_args(args), args.command)))
     except MlcaTrendsError as exc:
-        stage = "pipeline"
-        for error_type, label in _STAGE_BY_ERROR:
-            if isinstance(exc, error_type):
-                stage = label
-                break
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
+        print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
         return 1
     except Warning as exc:  # a filter such as -W error raised it; label its innermost frame
         tb = exc.__traceback__

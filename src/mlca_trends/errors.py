@@ -1,17 +1,23 @@
-"""Exception hierarchy. Every module raises subclasses of MlcaTrendsError so
-the CLI can attribute failures to the stage that produced them."""
+"""Exception hierarchy. Every module raises subclasses of MlcaTrendsError;
+each class names the stage it reports in `stage`, which the CLI prints."""
 
 
 class MlcaTrendsError(Exception):
     """Base class for all errors raised by this package."""
 
+    stage = "pipeline"
+
 
 class ConfigError(MlcaTrendsError):
     """Invalid or missing configuration (paths, JSON schema, flag ranges)."""
 
+    stage = "config"
+
 
 class CatalogError(MlcaTrendsError):
     """Card-table parsing, merging, or lookup failure."""
+
+    stage = "catalog"
 
 
 class UnresolvedCardError(CatalogError):
@@ -25,9 +31,13 @@ class UnresolvedCardError(CatalogError):
 class SystemsError(MlcaTrendsError):
     """Systems-table parsing failure."""
 
+    stage = "systems"
+
 
 class EstimationError(MlcaTrendsError):
     """GPU-hour estimation failure (bad inputs, unusable cards)."""
+
+    stage = "estimation"
 
 
 class MissingPeakError(EstimationError):
@@ -36,6 +46,8 @@ class MissingPeakError(EstimationError):
 
 class LcaError(MlcaTrendsError):
     """Life-cycle impact computation failure."""
+
+    stage = "lca"
 
 
 class CannotEstimateError(LcaError):
@@ -56,6 +68,8 @@ class PipelineError(MlcaTrendsError):
 
 class StatsError(MlcaTrendsError):
     """Regression or diagnostic-test failure."""
+
+    stage = "stats"
 
 
 class DegenerateDataError(StatsError):

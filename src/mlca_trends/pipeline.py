@@ -2,11 +2,11 @@
 -> impacts -> trends -> tables.
 
 Every stage is a plain function over the loaded bundle. A `Run` computes
-each stage at most once, when an output first needs it; `run_pipeline` writes
-a set of named outputs through it (by default the report's coverage.csv,
-bridge.json, estimates.csv, impacts.csv, trends.csv and embodied_shares.csv,
-plus scenario_<ratio>.csv when a scenario is requested), so a stage
-subcommand computes only the stages behind its own files. The trend and
+each stage at most once, when an output first needs it. `OUTPUTS` declares
+each output file once: the subcommand that writes it, whether the report
+writes it too, its CSV header and its rows or JSON payload. `run_pipeline`
+writes one subcommand's files through a `Run`, so a stage subcommand
+computes only the stages behind its own files. The trend and
 scenario stages return `Series` records (dated points and their fit), and one
 point-row and one trend-row builder write both series files. Outputs are
 deterministic: identical inputs and config produce byte-identical files.
@@ -31,17 +31,18 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import (
+    CARD_COLUMNS,
     CardIndex,
     CardReference,
     CardSpec,
     MergeReport,
+    card_rows,
     characteristic_series,
     load_overrides,
     load_plausibility,
     merge_catalogs,
     parse_card_table,
     resolve_card_reference,
-    serialize_card_table,
 )
 from .errors import (
     CannotEstimateError,
@@ -76,46 +77,23 @@ from .lca import (
 )
 from .stats import TrendFit, exp_trend, to_fractional_year
 from .systems import (
+    COVERAGE_METRICS,
+    SYSTEM_COLUMNS,
     coverage_summary,
     eligible_systems,
     load_column_map,
     parse_systems_table,
-    serialize_systems_table,
+    system_rows,
 )
 
 __all__ = [
+    "OUTPUTS",
     "Run",
     "RunConfig",
     "Series",
     "default_data_path",
     "run_pipeline",
 ]
-
-OUTPUT_SCHEMAS = {
-    "coverage.csv": [
-        "row", "systems", "flop", "hardware", "flop_and_hardware",
-        "duration", "quantity", "duration_and_quantity", "duration_quantity_hardware",
-    ],
-    "estimates.csv": ["system", "method", "gpu_hours_min", "gpu_hours_ref", "gpu_hours_max"],
-    "impacts.csv": [
-        "system", "date",
-        "energy_kwh_min", "energy_kwh_ref", "energy_kwh_max",
-        "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max",
-        "adpe_kgsb_min", "adpe_kgsb_ref", "adpe_kgsb_max",
-        "embodied_gwp_ref", "embodied_adpe_ref", "method",
-    ],
-    "trends.csv": [
-        "series", "kind", "name", "date", "year", "value",
-        "slope_per_year", "intercept", "growth_factor", "cagr_pct",
-        "doubling_time_years", "weighting", "n_used", "n_excluded",
-    ],
-    "embodied_shares.csv": ["metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"],
-    "scenario.csv": [
-        "series", "kind", "system", "date", "year", "gwp_kg", "included",
-        "slope_per_year", "intercept", "growth_factor", "cagr_pct",
-        "doubling_time_years", "weighting", "n_used", "n_excluded_floor",
-    ],
-}
 
 # Trend weighting follows the figure methodology: per-system quantities and
 # footprints are fitted with feasible WLS (heteroscedastic), card
@@ -216,32 +194,25 @@ def _series(name, points, weighting, labels=None, included=None) -> Series:
     return Series(name, points, fit, labels, included)
 
 
+def _optional_cards(path, source):
+    """(cards, row errors) of an optional card table; none without a file."""
+    return ([], []) if path is None else parse_card_table(path, source)
+
+
 def load_bundle(config: RunConfig) -> Bundle:
     cards_a, errors_a = parse_card_table(config.cards, "techpowerup")
-    if config.cards_alt is not None:
-        cards_b, errors_b = parse_card_table(config.cards_alt, "wiki")
-        overrides = load_overrides(config.overrides) if config.overrides else None
-        workstation, report = merge_catalogs(cards_a, cards_b, overrides)
-        card_errors = errors_a + errors_b
-    else:
-        workstation = cards_a
-        report = MergeReport(total_cards=len(cards_a), validated=0, divergent=())
-        card_errors = errors_a
-
-    full_catalog = list(workstation)
-    if config.cards_extra is not None:
-        extra, errors_extra = parse_card_table(config.cards_extra, "other")
-        full_catalog.extend(extra)
-        card_errors = card_errors + errors_extra
-
+    cards_b, errors_b = _optional_cards(config.cards_alt, "wiki")
+    overrides = load_overrides(config.overrides) if config.overrides else None
+    workstation, report = merge_catalogs(cards_a, cards_b, overrides)
+    extra, errors_extra = _optional_cards(config.cards_extra, "other")
     column_map = load_column_map(config.column_map) if config.column_map else None
     systems, system_errors = parse_systems_table(config.systems, column_map)
 
     return Bundle(
         workstation_cards=workstation,
-        full_catalog=full_catalog,
+        full_catalog=[*workstation, *extra],
         merge_report=report,
-        card_row_errors=card_errors,
+        card_row_errors=errors_a + errors_b + errors_extra,
         systems=systems,
         system_row_errors=system_errors,
         mixes=load_mix_table(config.mixes),
@@ -381,10 +352,6 @@ def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> list[Series]:
         _series(name, points, _SYSTEM_TREND_WEIGHTING, labels, [v >= gwp_floor for _, v in points])
         for name, points in (("real", real), ("scenario", reduced))
     ]
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 class Run:
@@ -551,9 +518,10 @@ def _date_cells(date) -> tuple[str, str]:
     return date.isoformat(), format_cell(round(to_fractional_year(date), 6))
 
 
-_BLANK_FIT = ("",) * 8  # a point row's fit cells
-_FIT_CELLS = ("slope_per_year", "intercept", "growth_factor", "cagr_pct", "doubling_time_years",
-              "weighting", "n_used")
+# The TrendFit fields of a trend row, after which comes its excluded count
+_FIT_COLUMNS = ("slope_per_year", "intercept", "growth_factor", "cagr_pct",
+                "doubling_time_years", "weighting", "n_used")
+_BLANK_FIT = ("",) * (len(_FIT_COLUMNS) + 1)  # a point row's fit and excluded cells
 
 
 def _point_rows(series: Series):
@@ -569,7 +537,7 @@ def _trend_row(series: Series) -> list:
     """The trend row of a series: blank fit cells when it has no fit."""
     included = () if series.included is None else ("",)
     return [series.name, "trend", "", "", "", "", *included,
-            *(getattr(series.fit, name, "") for name in _FIT_CELLS), series.n_excluded]
+            *(getattr(series.fit, name, "") for name in _FIT_COLUMNS), series.n_excluded]
 
 
 def _trends_csv_rows(trends: list[Series]):
@@ -580,67 +548,92 @@ def _trends_csv_rows(trends: list[Series]):
             yield _trend_row(series)
 
 
-# Output name -> writer(run, path). A writer reads only the stages its file
-# shows, so writing it computes those stages and no others.
-WRITERS = {
-    "catalog.csv": lambda run, path: serialize_card_table(run.bundle.full_catalog, path),
-    "systems_normalized.csv": lambda run, path: serialize_systems_table(run.bundle.systems, path),
-    "merge_report.json": lambda run, path: _write_json(
-        path, _merge_report_payload(run.bundle.merge_report)
+# Output file -> (the stage subcommand that writes it, whether report writes
+# it too, its CSV header (None: a JSON file), run -> its rows or JSON
+# payload), in write order. A row function reads only the stages its file
+# shows, so writing the file computes those stages and no others.
+OUTPUTS = {
+    "catalog.csv": ("ingest", False, CARD_COLUMNS, lambda run: card_rows(run.bundle.full_catalog)),
+    "systems_normalized.csv": ("ingest", False, SYSTEM_COLUMNS,
+                               lambda run: system_rows(run.bundle.systems)),
+    "merge_report.json": ("ingest", False, None,
+                          lambda run: _merge_report_payload(run.bundle.merge_report)),
+    "coverage.csv": ("coverage", True, ("row", *COVERAGE_METRICS),
+                     lambda run: run.coverage.csv_rows()),
+    "coverage.json": ("coverage", False, None, lambda run: run.coverage.as_dict()),
+    "bridge.json": ("bridge", True, None, lambda run: _bridge_payload(*run.bridge)),
+    "estimates.csv": (
+        "estimate", True,
+        ("system", "method", "gpu_hours_min", "gpu_hours_ref", "gpu_hours_max"),
+        lambda run: (
+            [system.name, est.method, est.interval.min, est.interval.reference, est.interval.max]
+            for system, _, est in run.estimates[0]
+        ),
     ),
-    "coverage.csv": lambda run, path: _write_csv(
-        path, OUTPUT_SCHEMAS["coverage.csv"], run.coverage.csv_rows()[1:]
+    "impacts.csv": (
+        "impacts", True,
+        ("system", "date", "energy_kwh_min", "energy_kwh_ref", "energy_kwh_max",
+         "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max", "adpe_kgsb_min", "adpe_kgsb_ref",
+         "adpe_kgsb_max", "embodied_gwp_ref", "embodied_adpe_ref", "method"),
+        lambda run: (
+            [r.system_name, r.publication_date,
+             r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
+             r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
+             r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
+             r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method]
+            for r in run.impacts[0]
+        ),
     ),
-    "coverage.json": lambda run, path: _write_json(path, run.coverage.as_dict()),
-    "bridge.json": lambda run, path: _write_json(path, _bridge_payload(*run.bridge)),
-    "estimates.csv": lambda run, path: _write_csv(path, OUTPUT_SCHEMAS["estimates.csv"], (
-        [system.name, est.method, est.interval.min, est.interval.reference, est.interval.max]
-        for system, _, est in run.estimates[0]
-    )),
-    "impacts.csv": lambda run, path: _write_csv(path, OUTPUT_SCHEMAS["impacts.csv"], (
-        [r.system_name, r.publication_date,
-         r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
-         r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
-         r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
-         r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method]
-        for r in run.impacts[0]
-    )),
-    "trends.csv": lambda run, path: _write_csv(
-        path, OUTPUT_SCHEMAS["trends.csv"], _trends_csv_rows(run.trends)
+    "trends.csv": (
+        "trends", True,
+        ("series", "kind", "name", "date", "year", "value", *_FIT_COLUMNS, "n_excluded"),
+        lambda run: _trends_csv_rows(run.trends),
     ),
-    "embodied_shares.csv": lambda run, path: _write_csv(
-        path, OUTPUT_SCHEMAS["embodied_shares.csv"],
-        ([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n, s.excluded]
-         for s in run.shares[0]),
+    "embodied_shares.csv": (
+        "impacts", True, ("metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"),
+        lambda run: ([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n, s.excluded]
+                     for s in run.shares[0]),
     ),
-    # the points of both series, then both trend rows, fitted or not
-    "scenario.csv": lambda run, path: _write_csv(path, OUTPUT_SCHEMAS["scenario.csv"], chain(
-        *map(_point_rows, run.scenario), map(_trend_row, run.scenario)
-    )),
+    # written as scenario_<ratio>.csv; report writes it only when a ratio is
+    # set. The points of both series, then both trend rows, fitted or not.
+    "scenario.csv": (
+        "scenario", True,
+        ("series", "kind", "system", "date", "year", "gwp_kg", "included", *_FIT_COLUMNS,
+         "n_excluded_floor"),
+        lambda run: chain(*map(_point_rows, run.scenario), map(_trend_row, run.scenario)),
+    ),
 }
-REPORT_OUTPUTS = (
-    "coverage.csv", "bridge.json", "estimates.csv", "impacts.csv", "trends.csv",
-    "embodied_shares.csv",
-)
 
 
-def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
-    """Write the outputs named in `only` (default: the report outputs, plus
-    scenario.csv when a ratio is set) under config.out, in WRITERS order.
+def _write(run: Run, name: str, path: Path) -> None:
+    """Write output `name` of the run to path: CSV rows, or a JSON payload."""
+    _, _, header, content = OUTPUTS[name]
+    if header is None:
+        path.write_text(json.dumps(content(run), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    else:
+        _write_csv(path, header, content(run))
+
+
+def run_pipeline(config: RunConfig, command: str = "report") -> Run:
+    """Write the outputs of a subcommand under config.out, in OUTPUTS order:
+    a stage subcommand's own files, or for "report" those marked for it, with
+    scenario.csv only when a ratio is set.
 
     scenario.csv is written as scenario_<ratio>.csv. The files are written to
     a temporary directory beside config.out and moved into it only once every
-    writer has succeeded, so a failed run leaves config.out as it was, and
+    file has been written, so a failed run leaves config.out as it was, and
     removes the parent directories it created for it. Returns the run, which
     holds the computed stages, the written file names, counts and
     provenance."""
-    if only is None:
-        only = {*REPORT_OUTPUTS, *(["scenario.csv"] if config.scenario_ratio is not None else [])}
-    unknown = sorted(set(only) - set(WRITERS))
-    if unknown:
-        raise PipelineError(f"unknown outputs {unknown}; expected some of {list(WRITERS)}")
-    if "scenario.csv" in only and config.scenario_ratio is None:
-        raise ConfigError("scenario requires --scenario-ratio")
+    commands = {owner for owner, *_ in OUTPUTS.values()} | {"report"}
+    if command not in commands:
+        raise PipelineError(f"unknown command {command!r}; expected one of {sorted(commands)}")
+    names = [name for name, (owner, in_report, *_) in OUTPUTS.items()
+             if owner == command or command == "report" and in_report]
+    if "scenario.csv" in names and config.scenario_ratio is None:
+        if command == "scenario":
+            raise ConfigError("scenario requires --scenario-ratio")
+        names.remove("scenario.csv")
     out = Path(config.out)
     created = [d for d in (out, *out.parents) if not os.path.exists(d)]  # deepest first
     run = Run(config)
@@ -653,12 +646,11 @@ def run_pipeline(config: RunConfig, only: set[str] | None = None) -> Run:
         except OSError as exc:
             raise PipelineError(f"cannot create output directory {out}: {exc}") from None
         try:
-            for name, writer in WRITERS.items():
-                if name in only:
-                    if name == "scenario.csv":
-                        name = f"scenario_{format_cell(config.scenario_ratio)}.csv"
-                    writer(run, staging / name)
-                    run.output_files.append(name)
+            for name in names:
+                file_name = (f"scenario_{format_cell(config.scenario_ratio)}.csv"
+                             if name == "scenario.csv" else name)
+                _write(run, name, staging / file_name)
+                run.output_files.append(file_name)
             try:
                 out.mkdir(exist_ok=True)
                 for name in run.output_files:

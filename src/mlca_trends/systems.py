@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .catalog import RowError
 from .errors import SystemsError
-from .inputs import parse_count, parse_date, parse_number, read_csv, read_json, write_csv
+from .inputs import parse_count, parse_date, parse_number, read_csv, read_json
 
 __all__ = [
     "SYSTEM_COLUMNS",
+    "COVERAGE_METRICS",
     "CONFIDENCE_LEVELS",
     "SystemRecord",
     "CoverageCounts",
     "CoverageSummary",
     "parse_systems_table",
-    "serialize_systems_table",
+    "system_rows",
     "load_column_map",
     "coverage_summary",
     "eligible_systems",
@@ -100,19 +101,12 @@ class CoverageCounts:
     duration_and_quantity: int = 0
     duration_quantity_hardware: int = 0
 
-    METRICS = (
-        "systems",
-        "flop",
-        "hardware",
-        "flop_and_hardware",
-        "duration",
-        "quantity",
-        "duration_and_quantity",
-        "duration_quantity_hardware",
-    )
-
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, m) for m in self.METRICS)
+        return tuple(getattr(self, m) for m in COVERAGE_METRICS)
+
+
+# CoverageCounts' fields: the columns of coverage.csv after its row label
+COVERAGE_METRICS: tuple[str, ...] = tuple(f.name for f in fields(CoverageCounts))
 
 
 @dataclass(frozen=True)
@@ -124,22 +118,22 @@ class CoverageSummary:
     def percentages(self) -> tuple[float, ...]:
         total = self.counts.systems
         if total == 0:
-            return tuple(0.0 for _ in CoverageCounts.METRICS)
+            return tuple(0.0 for _ in COVERAGE_METRICS)
         return tuple(100.0 * c / total for c in self.counts.as_tuple())
 
     def as_dict(self) -> dict:
         return {
-            "number": dict(zip(CoverageCounts.METRICS, self.counts.as_tuple())),
-            "coverage_pct": dict(zip(CoverageCounts.METRICS, self.percentages)),
+            "number": dict(zip(COVERAGE_METRICS, self.counts.as_tuple())),
+            "coverage_pct": dict(zip(COVERAGE_METRICS, self.percentages)),
             "confidence": {
-                level: dict(zip(CoverageCounts.METRICS, counts.as_tuple()))
+                level: dict(zip(COVERAGE_METRICS, counts.as_tuple()))
                 for level, counts in self.by_confidence.items()
             },
         }
 
     def csv_rows(self) -> list[list]:
-        rows = [["row", *CoverageCounts.METRICS]]
-        rows.append(["number", *self.counts.as_tuple()])
+        """coverage.csv's rows under its header ("row", *COVERAGE_METRICS)."""
+        rows = [["number", *self.counts.as_tuple()]]
         rows.append(["coverage_pct", *(f"{p:.1f}" for p in self.percentages)])
         for level in CONFIDENCE_LEVELS:
             counts = self.by_confidence.get(level, CoverageCounts())
@@ -215,9 +209,9 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
     return records, errors
 
 
-def serialize_systems_table(systems, path) -> None:
-    """Write records back to the canonical schema (parse round-trips)."""
-    write_csv(path, SYSTEM_COLUMNS, (
+def system_rows(systems):
+    """Records as rows of SYSTEM_COLUMNS cells, which parse back to the same records."""
+    return (
         [
             s.name,
             s.publication_date.isoformat(),
@@ -230,7 +224,7 @@ def serialize_systems_table(systems, path) -> None:
             "true" if s.finetuned else "false",
         ]
         for s in systems
-    ))
+    )
 
 
 def _counts_for(systems) -> CoverageCounts:

@@ -11,6 +11,7 @@ from mlca_trends.catalog import (
     CardIndex,
     CardReference,
     CardSpec,
+    card_rows,
     characteristic_series,
     contains_tokens,
     load_overrides,
@@ -19,9 +20,9 @@ from mlca_trends.catalog import (
     normalize_name,
     parse_card_table,
     resolve_card_reference,
-    serialize_card_table,
 )
 from mlca_trends.errors import CatalogError, UnresolvedCardError
+from mlca_trends.inputs import write_csv
 from mlca_trends.pipeline import default_data_path
 from tests.conftest import make_card
 
@@ -94,7 +95,7 @@ class TestParse:
     def test_roundtrip_identity(self, tmp_path):
         cards, _ = parse_card_table(write_table(tmp_path, GOOD_ROWS), "techpowerup")
         out = tmp_path / "roundtrip.csv"
-        serialize_card_table(cards, out)
+        write_csv(out, CARD_COLUMNS, card_rows(cards))
         again, errors = parse_card_table(out, "techpowerup")
         assert errors == [] and again == cards
 
@@ -434,7 +435,7 @@ def test_bundled_catalog_roundtrip(tmp_path):
     )
     assert errors == []
     out = tmp_path / "bundled_roundtrip.csv"
-    serialize_card_table(cards, out)
+    write_csv(out, CARD_COLUMNS, card_rows(cards))
     again, errors = parse_card_table(out, "techpowerup")
     assert errors == [] and again == cards
 

@@ -18,7 +18,7 @@ from mlca_trends.cli import _build_parser, _config_from_args, main
 from mlca_trends.errors import PipelineError
 from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
-    OUTPUT_SCHEMAS,
+    OUTPUTS,
     Run,
     RunConfig,
     default_data_path,
@@ -31,6 +31,38 @@ REPORT_FILES = [
     "coverage.csv", "bridge.json", "estimates.csv",
     "impacts.csv", "trends.csv", "embodied_shares.csv",
 ]
+FIT_COLUMNS = ["slope_per_year", "intercept", "growth_factor", "cagr_pct",
+               "doubling_time_years", "weighting", "n_used"]
+SCENARIO_HEADER = ["series", "kind", "system", "date", "year", "gwp_kg", "included",
+                   *FIT_COLUMNS, "n_excluded_floor"]
+# Every CSV output's header, pinned here so that a change to one is seen
+CSV_HEADERS = {
+    "catalog.csv": [
+        "name", "vendor", "release_date", "die_area_mm2", "process_node_nm", "memory_gb",
+        "memory_type", "tdp_w", "peak_fp64", "peak_fp32", "peak_fp16", "peak_tensor",
+    ],
+    "systems_normalized.csv": [
+        "name", "publication_date", "training_flop", "hardware_names", "hardware_quantity",
+        "training_hours", "countries", "confidence", "finetuned",
+    ],
+    "coverage.csv": [
+        "row", "systems", "flop", "hardware", "flop_and_hardware",
+        "duration", "quantity", "duration_and_quantity", "duration_quantity_hardware",
+    ],
+    "estimates.csv": ["system", "method", "gpu_hours_min", "gpu_hours_ref", "gpu_hours_max"],
+    "impacts.csv": [
+        "system", "date",
+        "energy_kwh_min", "energy_kwh_ref", "energy_kwh_max",
+        "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max",
+        "adpe_kgsb_min", "adpe_kgsb_ref", "adpe_kgsb_max",
+        "embodied_gwp_ref", "embodied_adpe_ref", "method",
+    ],
+    "trends.csv": [
+        "series", "kind", "name", "date", "year", "value", *FIT_COLUMNS, "n_excluded",
+    ],
+    "embodied_shares.csv": ["metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"],
+    "scenario.csv": SCENARIO_HEADER,
+}
 
 
 def read_all(out_dir: Path) -> dict[str, bytes]:
@@ -49,7 +81,7 @@ class TestRunPipeline:
     def test_none_means_no_file_and_str_paths_work(self, tmp_path):
         config = RunConfig(out=str(tmp_path / "out"), cards_extra=None,
                            systems=str(default_data_path("systems_sample.csv")))
-        run = run_pipeline(config, only={"catalog.csv"})
+        run = run_pipeline(config, "ingest")
         assert run.counts["cards_total"] == run.counts["cards_workstation"]
         assert (tmp_path / "out" / "catalog.csv").is_file()
 
@@ -59,14 +91,14 @@ class TestRunPipeline:
         assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
     def test_output_schemas_stable(self, tmp_path):
-        run_pipeline(RunConfig(out=tmp_path / "out", scenario_ratio=0.25))
-        for name, header in OUTPUT_SCHEMAS.items():
+        config = RunConfig(out=tmp_path / "out", scenario_ratio=0.25)
+        for command in ("ingest", "coverage", "report"):
+            run_pipeline(config, command)
+        assert {name for name, (_, _, header, _) in OUTPUTS.items() if header} == set(CSV_HEADERS)
+        for name, header in CSV_HEADERS.items():
             if name == "scenario.csv":
                 name = "scenario_0.25.csv"
-            path = tmp_path / "out" / name
-            if name == "bridge.json":
-                continue
-            with path.open(newline="", encoding="utf-8") as handle:
+            with (tmp_path / "out" / name).open(newline="", encoding="utf-8") as handle:
                 assert next(csv.reader(handle)) == header
 
     def test_scenario_file_added_when_ratio_set(self, tmp_path):
@@ -74,9 +106,14 @@ class TestRunPipeline:
         assert summary.output_files == REPORT_FILES + ["scenario_0.25.csv"]
 
     def test_stage_selection_writes_subset(self, tmp_path):
-        summary = run_pipeline(RunConfig(out=tmp_path / "out"), only={"bridge.json"})
+        summary = run_pipeline(RunConfig(out=tmp_path / "out"), "bridge")
         assert summary.output_files == ["bridge.json"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["bridge.json"]
+
+    def test_unknown_command_is_a_pipeline_error(self, tmp_path):
+        with pytest.raises(PipelineError, match="unknown command 'nope'"):
+            run_pipeline(RunConfig(out=tmp_path / "out"), "nope")
+        assert not (tmp_path / "out").exists()
 
     def test_merge_path_with_overrides(self, tmp_path):
         config = RunConfig(
@@ -88,7 +125,7 @@ class TestRunPipeline:
         assert summary.counts["cards_validated"] == 24
 
     def test_demo_bridge_flags_finetuned_anomaly(self, tmp_path):
-        run_pipeline(RunConfig(out=tmp_path / "out"), only={"bridge.json"})
+        run_pipeline(RunConfig(out=tmp_path / "out"), "bridge")
         payload = json.loads((tmp_path / "out" / "bridge.json").read_text())
         assert payload["counts"]["anomalous"] == 1
         assert payload["model"]["n_observations"] == payload["counts"]["clean"]
@@ -355,7 +392,7 @@ class TestSeriesLayouts:
             *points, trend = scenario[name]
             assert [r["included"] for r in points] == ["true", "true", "false", "false"]
             assert trend["kind"] == "trend"
-            fit_columns = OUTPUT_SCHEMAS["scenario.csv"][6:-1]
+            fit_columns = SCENARIO_HEADER[6:-1]
             assert [trend[column] for column in fit_columns] == [""] * len(fit_columns)
             assert trend["n_excluded_floor"] == "2"
 
@@ -489,9 +526,65 @@ class TestCliCommands:
         assert payload["excluded_scenario"] >= payload["excluded_real"]
 
     def test_scenario_requires_ratio(self, tmp_path, capsys):
-        code = main(["scenario", "--out", str(tmp_path / "out")])
+        code = main(["scenario", "--out", str(tmp_path / "a" / "out")])
         assert code == 1
-        assert "scenario-ratio" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "scenario-ratio" in err
+        assert err.splitlines() == ["error [config]: scenario requires --scenario-ratio"]
+        assert not (tmp_path / "a").exists()
+
+    def test_missing_override_table_without_cards_alt_is_a_catalog_error(self, tmp_path, capsys):
+        missing, out = tmp_path / "nonexistent.csv", tmp_path / "out"
+        assert main(["ingest", "--overrides", str(missing), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error [catalog]: override table not found: {missing}"]
+        assert not out.exists()
+
+    def test_overrides_apply_to_the_primary_table_alone(self, tmp_path, capsys):
+        overrides = _write_table(tmp_path / "overrides.csv", ["name", "field", "value"],
+                                 [["Tesla K40", "tdp", "300"]])
+
+        def k40_tdp(out, *flags):
+            assert main(["ingest", "--out", str(out), *flags]) == 0
+            with (out / "catalog.csv").open(newline="", encoding="utf-8") as handle:
+                return next(float(r["tdp_w"]) for r in csv.DictReader(handle)
+                            if r["name"] == "Tesla K40")
+
+        assert k40_tdp(tmp_path / "plain") == 235
+        assert k40_tdp(tmp_path / "overridden", "--overrides", str(overrides)) == 300
+
+    def test_duplicate_card_names_in_a_lone_primary_table_are_a_catalog_error(
+        self, tmp_path, capsys
+    ):
+        cards = tmp_path / "cards.csv"
+        cards.write_bytes(_bundled("cards_nvidia_workstation.csv")
+                          + b"NVIDIA Tesla K40,NVIDIA,2013-10-08,561,28,12,GDDR5,235,,5e12,,\n")
+        assert main(["ingest", "--cards", str(cards), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [catalog]: duplicate card name")
+
+    def test_empty_flag_or_null_config_value_turns_the_extra_cards_off(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def ingest_counts(*flags):
+            args = _build_parser().parse_args(["ingest", "--out", str(tmp_path / "out"), *flags])
+            counts = run_pipeline(_config_from_args(args), "ingest").counts
+            return counts["cards_total"], counts["cards_workstation"]
+
+        monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
+        total, workstation = ingest_counts()
+        assert total > workstation
+        assert ingest_counts("--cards-extra", "") == (workstation, workstation)
+        env_file = tmp_path / "config.json"
+        env_file.write_text(json.dumps({"cards_extra": None}), encoding="utf-8")
+        monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+        assert ingest_counts() == (workstation, workstation)
+        assert ingest_counts(f"--cards-extra={default_data_path('cards_other.csv')}") == (
+            total, workstation
+        )
+        # a required table cannot be unset
+        assert main(["ingest", "--cards", "", "--out", str(tmp_path / "cards")]) == 1
+        assert capsys.readouterr().err.startswith("error [catalog]: ")
 
     def test_env_var_bundles_paths(self, tmp_path, monkeypatch, capsys):
         bundle = {

@@ -111,7 +111,7 @@ def test_main_exits_0_or_1_and_a_failure_leaves_out_as_it_was(
         tmp = Path(tmp)
         (tmp / name).write_text(text, encoding="utf-8")
         argv = [command, f"{flag}={tmp / name}"]
-        if flag in ("--cards-alt", "--overrides"):  # overrides apply only to a merge
+        if flag in ("--cards-alt", "--overrides"):  # a mutated table meets the full merge
             other = "--overrides" if flag == "--cards-alt" else "--cards-alt"
             argv.append(f"{other}={default_data_path(INPUTS[other])}")
         if command == "scenario" and "--scenario-ratio" not in dict(options):

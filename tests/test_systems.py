@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from mlca_trends.errors import SystemsError
+from mlca_trends.inputs import write_csv
 from mlca_trends.systems import (
+    COVERAGE_METRICS,
+    SYSTEM_COLUMNS,
     CoverageCounts,
     SystemRecord,
     coverage_summary,
     eligible_systems,
     load_column_map,
     parse_systems_table,
+    system_rows,
 )
 
 HEADER = (
@@ -106,8 +110,6 @@ class TestParse:
 
 
 def test_serialize_parse_roundtrip(tmp_path):
-    from mlca_trends.systems import serialize_systems_table
-
     rows = [
         "GPT-3,2020-05-28,3.14e23,V100,10000,,USA,confident,false",
         'Multi,2021-01-01,1e21,"V100; TPU v3",,,"GBR;USA",unknown,true',
@@ -116,7 +118,7 @@ def test_serialize_parse_roundtrip(tmp_path):
     records, errors = parse_systems_table(write_systems(tmp_path, rows))
     assert errors == []
     out = tmp_path / "normalized.csv"
-    serialize_systems_table(records, out)
+    write_csv(out, SYSTEM_COLUMNS, system_rows(records))
     again, errors = parse_systems_table(out)
     assert errors == [] and again == records
 
@@ -188,10 +190,10 @@ class TestCoverage:
 
     def test_csv_rows_layout(self):
         rows = coverage_summary([record("A", training_flop=1e20)]).csv_rows()
-        assert rows[0][0] == "row"
-        assert rows[1][:3] == ["number", 1, 1]
-        assert rows[2][0] == "coverage_pct"
-        assert [r[0] for r in rows[3:]] == ["confident", "likely", "speculative", "unknown"]
+        assert {len(r) for r in rows} == {1 + len(COVERAGE_METRICS)}
+        assert rows[0][:3] == ["number", 1, 1]
+        assert rows[1][0] == "coverage_pct"
+        assert [r[0] for r in rows[2:]] == ["confident", "likely", "speculative", "unknown"]
 
 
 class TestEligibility:
