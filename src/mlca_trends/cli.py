@@ -62,8 +62,11 @@ def _kind(field: dataclasses.Field) -> str:
 def _field_value(field: dataclasses.Field, value):
     """A flag's or MLCA_TRENDS_CONFIG's value as that RunConfig field's value:
     None for "" or null where the field may be None (no file, for a path),
-    TypeError if it is none of its kind, OverflowError past the float range."""
+    TypeError if it is none of its kind, OverflowError past the float range.
+    An empty out is a ConfigError: Path("") would be the working directory."""
     kind = _kind(field)
+    if field.name == "out" and value == "":
+        raise ConfigError('out must not be empty; give "." for the working directory')
     if value in ("", None) and kind != field.type:
         return None
     if kind == "Path" and isinstance(value, str):

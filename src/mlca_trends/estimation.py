@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .catalog import CardReference, CardSpec
 from .errors import DegenerateDataError, EstimationError, MissingPeakError
 from .intervals import EstimateInterval
@@ -151,6 +149,7 @@ def detect_anomalies(pairs, k: float = 3.0):
     ratio. Returns (clean, anomalous) where anomalous entries carry a reason;
     together they partition the input in order.
     """
+    import numpy as np
     pairs = list(pairs)
     ratios = []
     for system, h1, h2 in pairs:
@@ -185,6 +184,7 @@ def fit_bridge(clean_pairs) -> BridgeModel:
 
     Natural logarithms throughout.
     """
+    import numpy as np
     pairs = list(clean_pairs)
     if len(pairs) < 3:
         raise EstimationError(f"need at least 3 pairs to fit the bridge, got {len(pairs)}")

@@ -1,8 +1,8 @@
-"""Reading input files: the path check, the UTF-8 decode, the parse and the
-header check of every CSV and JSON input. A malformed file raises the caller's
-stage error naming the file; the cell parsers raise ValueError. The one CSV
-writer and cell formatter live here too, so tables round-trip through one
-module."""
+"""Reading input files: the path check, the UTF-8 decode (a leading byte-order
+mark is dropped), the parse and the header check of every CSV and JSON input.
+A malformed file raises the caller's stage error naming the file; the cell
+parsers raise ValueError. The one CSV writer and cell formatter live here too,
+so tables round-trip through one module."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ def read_json(path, error, what) -> dict:
     """The JSON object held by a UTF-8 file."""
     path = _existing(path, error, what)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise error(f"{what} {path} is not readable UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -42,7 +42,7 @@ def read_csv(path, error, what, columns=None):
 def _csv_rows(path: Path, error, what, columns):
     """Yields the header, then the rows; the file closes with the generator."""
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle, restval="")
             header = reader.fieldnames or []
             if columns is not None and set(header) != set(columns):

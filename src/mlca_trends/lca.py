@@ -31,8 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
 from .inputs import parse_count, parse_number, read_csv, read_json
@@ -482,6 +480,7 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
     are excluded from that metric's summary and counted. Quartiles use
     linear interpolation.
     """
+    import numpy as np
     pairs = list(impact_pairs)
     summaries = []
     total_excluded = 0

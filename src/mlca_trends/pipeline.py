@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
-import hashlib
 import json
 import os
 import shutil
@@ -141,6 +140,7 @@ class RunConfig:
             raise PipelineError(f"scenario ratio must be in [0, 1], got {self.scenario_ratio}")
 
     def sha256(self) -> str:
+        import hashlib
         # default=str writes each Path as its string
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -22,7 +22,9 @@ They are loaded on first use, not at module load, and only from the compiled
 module scipy.special._ufuncs: the package __init__ would also load scipy's
 array-API layer (with numpy.f2py and numpy.testing), about 80 ms of the
 package's 90 ms import. scipy.stats is never imported: only bridge.json
-needs a p-value.
+needs a p-value, so of the CLI's subcommands only bridge and report load
+scipy.special._ufuncs. numpy, too, is imported inside each function that
+computes with it: import mlca_trends loads neither, nor do ingest and coverage.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
-
-import numpy as np
 
 from .errors import DegenerateDataError, StatsError
 
@@ -133,6 +133,7 @@ def _ufuncs():
 
 
 def _as_vector(v, name: str) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(v, dtype=float).ravel()
     if arr.size and not np.all(np.isfinite(arr)):
         raise StatsError(f"{name} contains non-finite values")
@@ -146,6 +147,7 @@ def wls_fit(x, y, weights=None) -> RegressionResult:
     weights (plain OLS); all weights must be strictly positive. Multiplying
     every weight by the same positive constant leaves the result unchanged.
     """
+    import numpy as np
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
     if weights is None:
@@ -208,6 +210,7 @@ def feasible_weights(x, residuals) -> np.ndarray:
     scale so exact zeros stay finite. Identical residuals give exactly
     constant weights.
     """
+    import numpy as np
     x = _as_vector(x, "x")
     e = _as_vector(residuals, "residuals")
     if x.size != e.size:
@@ -223,6 +226,7 @@ def feasible_weights(x, residuals) -> np.ndarray:
 def durbin_watson(residuals) -> tuple[float, float]:
     """Durbin-Watson statistic D = sum(diff(e)^2) / sum(e^2), with a
     one-sided (positive autocorrelation) p-value from D ~ N(2, 4/n)."""
+    import numpy as np
     e = _as_vector(residuals, "residuals")
     n = e.size
     if n < 2:
@@ -257,6 +261,7 @@ def shapiro_wilk(sample) -> tuple[float, float]:
 
     Above 5,000 values W stays accurate but p may not be; it warns, as
     scipy.stats.shapiro does."""
+    import numpy as np
     s = _as_vector(sample, "sample")
     if s.size < 3:
         raise StatsError(f"sample size must be at least 3, got {s.size}")
@@ -448,6 +453,7 @@ def exp_trend(series, weighting: str = "ols") -> TrendFit:
     counted in n_excluded. weighting is "ols" or "feasible_wls" (two-stage
     weights from feasible_weights).
     """
+    import numpy as np
     if weighting not in ("ols", "feasible_wls"):
         raise StatsError(f"unknown weighting {weighting!r}")
     points = [(to_fractional_year(d), v) for d, v in series]

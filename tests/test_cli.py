@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import json
@@ -251,6 +252,54 @@ def _fresh_python(script: str, blas_threads: str, *options: str) -> str:
     return result.stdout
 
 
+def _fresh_main_loads(commands: list[list[str]], module: str) -> list[tuple]:
+    """Imports mlca_trends.cli, then runs main() over each argument list, in
+    one fresh interpreter; returns, after the import and after each run, the
+    exit code (None for the import, SystemExit's code where argparse exits)
+    and whether `module` is loaded."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from mlca_trends.cli import main\n"
+        "def run(args):\n"
+        "    try:\n"
+        "        return main(args)\n"
+        "    except SystemExit as exc:  # --help, --version and usage errors\n"
+        "        return exc.code\n"
+        f"steps = [[None, {module!r} in sys.modules]]\n"
+        f"for args in json.loads({json.dumps(commands)!r}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        steps.append([run(args), {module!r} in sys.modules])\n"
+        "print(json.dumps(steps))\n"
+    )
+    return [tuple(step) for step in json.loads(_fresh_python(script, "1"))]
+
+
+class TestNumpyOnDemand:
+    def test_import_loads_neither_numpy_nor_hashlib(self):
+        assert _fresh_main_loads([], "numpy") == [(None, False)]
+        assert _fresh_main_loads([], "hashlib") == [(None, False)]
+
+    def test_commands_that_compute_nothing_load_no_numpy(self, tmp_path):
+        commands = [
+            ["--version"],
+            ["--help"],
+            ["ingest", "--out", str(tmp_path / "ingest")],
+            ["coverage", "--out", str(tmp_path / "coverage")],
+            ["report", "--scenario-ratio", "abc"],  # a usage error
+            ["scenario", "--out", str(tmp_path / "scenario")],  # no ratio: a config error
+        ]
+        assert _fresh_main_loads(commands, "numpy") == [
+            (None, False), (0, False), (0, False), (0, False), (0, False), (2, False), (1, False)
+        ]
+
+    @pytest.mark.parametrize("command", [["bridge"], ["estimate"], ["impacts"], ["trends"],
+                                         ["scenario", "--scenario-ratio", "0.1"], ["report"]],
+                             ids=lambda command: command[0])
+    def test_stages_that_compute_load_numpy(self, tmp_path, command):
+        steps = _fresh_main_loads([[*command, "--out", str(tmp_path / "out")]], "numpy")
+        assert steps == [(None, False), (0, True)]
+
+
 class TestOneBlasThread:
     """Importing the package pins OpenBLAS to one thread, whatever the caller set."""
 
@@ -258,6 +307,18 @@ class TestOneBlasThread:
     def test_import_starts_no_blas_worker_threads(self):
         script = "import os, mlca_trends, scipy.special; print(len(os.listdir('/proc/self/task')))"
         assert _fresh_python(script, "2") == "1\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_numpy_first_loaded_by_a_stage_starts_no_blas_worker_threads(self, tmp_path):
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from mlca_trends.cli import main\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['bridge', '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(loaded, code, len(os.listdir('/proc/self/task')))\n"
+        )
+        assert _fresh_python(script, "2") == "False 0 1\n"
 
     def test_a_long_fit_is_the_same_whatever_thread_count_the_caller_set(self):
         # Above 10,000 points a threaded dot sums its halves in another order.
@@ -586,6 +647,29 @@ class TestCliCommands:
         assert main(["ingest", "--cards", "", "--out", str(tmp_path / "cards")]) == 1
         assert capsys.readouterr().err.startswith("error [catalog]: ")
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_an_empty_out_is_a_config_error_that_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, source
+    ):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
+        if source == "env":
+            env_file = tmp_path / "config.json"
+            env_file.write_text(json.dumps({"out": ""}), encoding="utf-8")
+            monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
+        assert main(["ingest", *(["--out", ""] if source == "flag" else [])]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            'error [config]: out must not be empty; give "." for the working directory'
+        ]
+        assert list(cwd.iterdir()) == []
+        monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
+        assert main(["ingest", "--out", "."]) == 0  # the working directory, said so
+        assert sorted(p.name for p in cwd.iterdir()) == [
+            "catalog.csv", "merge_report.json", "systems_normalized.csv"
+        ]
+
     def test_env_var_bundles_paths(self, tmp_path, monkeypatch, capsys):
         bundle = {
             "systems": str(default_data_path("systems_sample.csv")),
@@ -757,6 +841,9 @@ _MALFORMED_INPUTS = {
         ]
     },
     "env-config-not-utf8": ("config", None, b'{"gwp_floor": 1}' + _NOT_UTF8, []),
+    "systems-bom-not-utf8": (
+        "systems", "--systems", codecs.BOM_UTF8 + _bundled("systems_sample.csv") + _NOT_UTF8, []
+    ),
     "systems-huge-cell": (
         "systems", "--systems", (SYSTEMS_HEADER + "Big," + "x" * 200_000 + "\n").encode(), []
     ),
@@ -969,6 +1056,28 @@ class TestInputBoundary:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error [{stage}]") and str(path) in err[0]
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["ingest", "report"])
+    def test_inputs_led_by_a_byte_order_mark_give_the_same_outputs(
+        self, tmp_path, capsys, command
+    ):
+        flags = []
+        for flag, name in [("--systems", "systems_sample.csv"),
+                           ("--cards", "cards_nvidia_workstation.csv"),
+                           ("--cards-extra", "cards_other.csv"),
+                           ("--constants", "lca_constants.json")]:
+            path = tmp_path / name
+            path.write_bytes(codecs.BOM_UTF8 + _bundled(name))
+            flags += [flag, str(path)]
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        assert main([command, "--scenario-ratio", "0.1", "--out", str(plain)]) == 0
+        assert main([command, "--scenario-ratio", "0.1", "--out", str(bom), *flags]) == 0
+        assert capsys.readouterr().err == ""
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in bom.iterdir())
+        assert [(plain / n).read_bytes() == (bom / n).read_bytes() for n in names] == [True] * len(
+            names
+        )
 
     def test_short_table_rows_are_row_errors(self, tmp_path, capsys):
         systems = tmp_path / "systems.csv"
