@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import CatalogError, UnresolvedCardError
-from .inputs import parse_date, parse_number, read_csv, read_json
+from .inputs import parse_date, parse_number, positions, read_csv, read_json
 
 __all__ = [
     "CARD_COLUMNS",
@@ -194,19 +194,20 @@ def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]
     """
     if source not in CARD_SOURCES:
         raise CatalogError(f"unknown source {source!r}; expected one of {CARD_SOURCES}")
-    _, rows = read_csv(path, CatalogError, "card table", CARD_COLUMNS)
+    header, rows = read_csv(path, CatalogError, "card table", CARD_COLUMNS)
+    at = positions(header)
     cards: list[CardSpec] = []
     errors: list[RowError] = []
     for line, row in rows:
         try:
             cards.append(
                 CardSpec(
-                    name=row["name"].strip(),
-                    vendor=row["vendor"].strip(),
-                    release_date=parse_date(row["release_date"], "release_date"),
-                    memory_type=row["memory_type"].strip() or None,
+                    name=row[at["name"]].strip(),
+                    vendor=row[at["vendor"]].strip(),
+                    release_date=parse_date(row[at["release_date"]], "release_date"),
+                    memory_type=row[at["memory_type"]].strip() or None,
                     source=source,
-                    **{col: parse_number(row[col], col) for col in _NUMBER_COLUMNS},
+                    **{col: parse_number(row[at[col]], col) for col in _NUMBER_COLUMNS},
                 )
             )
         except ValueError as exc:
@@ -241,18 +242,19 @@ def _fields_equal(field: str, left, right) -> bool:
 def load_overrides(path) -> dict[tuple[str, str], object]:
     """Datasheet override CSV `name,field,value` -> {(normalized name, field): value}."""
     overrides: dict[tuple[str, str], object] = {}
-    _, rows = read_csv(path, CatalogError, "override table", ("name", "field", "value"))
+    header, rows = read_csv(path, CatalogError, "override table", ("name", "field", "value"))
+    at = positions(header)
     for line, row in rows:
-        field = _FIELD_ALIASES.get(row["field"].strip())
+        name, raw_field, raw = (row[at[col]] for col in ("name", "field", "value"))
+        field = _FIELD_ALIASES.get(raw_field.strip())
         try:
             if field is None:
-                raise ValueError(f"unknown field {row['field']!r}")
-            raw = row["value"]
+                raise ValueError(f"unknown field {raw_field!r}")
             value = (parse_date(raw, field) if field == "release_date"
                      else parse_number(raw, field, required=True))
         except ValueError as exc:
             raise CatalogError(f"override table {path}, line {line}: {exc}") from None
-        overrides[(normalize_name(row["name"]), field)] = value
+        overrides[(normalize_name(name), field)] = value
     return overrides
 
 

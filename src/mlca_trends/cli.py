@@ -63,14 +63,12 @@ def _field_value(field: dataclasses.Field, value):
     """A flag's or MLCA_TRENDS_CONFIG's value as that RunConfig field's value:
     None for "" or null where the field may be None (no file, for a path),
     TypeError if it is none of its kind, OverflowError past the float range.
-    An empty out is a ConfigError: Path("") would be the working directory."""
+    An empty required path stays "", so that RunConfig can reject an empty out."""
     kind = _kind(field)
-    if field.name == "out" and value == "":
-        raise ConfigError('out must not be empty; give "." for the working directory')
     if value in ("", None) and kind != field.type:
         return None
     if kind == "Path" and isinstance(value, str):
-        return Path(value)
+        return Path(value) if value else value
     if kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if kind == "bool" and (isinstance(value, bool) or value in ("true", "false")):

@@ -2,7 +2,9 @@
 mark is dropped), the parse and the header check of every CSV and JSON input.
 A malformed file raises the caller's stage error naming the file; the cell
 parsers raise ValueError. The one CSV writer and cell formatter live here too,
-so tables round-trip through one module."""
+so tables round-trip through one module. A row read is a list of cells in
+header order; a row written is written as given, so its float cells come
+formatted by format_cell (csv writes None, int, bool and date as it would)."""
 
 from __future__ import annotations
 
@@ -32,9 +34,9 @@ def read_json(path, error, what) -> dict:
 
 
 def read_csv(path, error, what, columns=None):
-    """(header, rows) of a UTF-8 CSV file; rows streams (line number, row)
-    pairs, a row mapping each header name to its cell ("" when the row is
-    short). With `columns`, the header must hold exactly those names."""
+    """(header, rows) of a UTF-8 CSV file; rows streams (line number, cells)
+    pairs for the non-blank lines, each cell list padded with "" or cut to the
+    header's length. With `columns`, the header must hold exactly those names."""
     rows = _csv_rows(_existing(path, error, what), error, what, columns)
     return next(rows), rows
 
@@ -43,17 +45,23 @@ def _csv_rows(path: Path, error, what, columns):
     """Yields the header, then the rows; the file closes with the generator."""
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle, restval="")
-            header = reader.fieldnames or []
+            reader = csv.reader(handle)
+            header = next(reader, [])
             if columns is not None and set(header) != set(columns):
                 raise error(f"unknown {what} schema in {path}: missing columns "
                             f"{sorted(set(columns) - set(header))}, unexpected columns "
                             f"{sorted(set(header) - set(columns))}")
             yield header
-            for row in reader:
-                yield reader.line_num, row
+            width = len(header)
+            for row in filter(None, reader):  # a blank line is []
+                yield reader.line_num, row if len(row) == width else (row + [""] * width)[:width]
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: bad UTF-8
         raise error(f"{what} {path} is not readable UTF-8 CSV: {exc}") from None
+
+
+def positions(header) -> dict[str, int]:
+    """Header name -> its cell's position; of repeated names the last wins."""
+    return {name: i for i, name in enumerate(header)}
 
 
 def parse_number(value, column: str, required: bool = False) -> float | None:
@@ -94,26 +102,21 @@ def parse_date(cell: str, column: str) -> dt.date:
 
 
 def format_cell(value) -> str:
-    """A CSV cell: blank for None, 12 significant digits for a float, an ISO
-    date for a date, str() for anything else. Exact str and float cells take
-    the fast path; float subclasses such as numpy.float64 format alike."""
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is float:
+    """A CSV cell: 12 significant digits for a float (numpy.float64 too),
+    blank for None, an ISO date for a date, str() for anything else."""
+    if isinstance(value, float):
         return f"{value:.12g}"
     if value is None:
         return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
     if isinstance(value, dt.date):
         return value.isoformat()
     return str(value)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a UTF-8 CSV table: the header, then each row through format_cell."""
+    """Write a UTF-8 CSV table: the header, then the rows as they are. A float
+    cell must come formatted by format_cell (csv would write its repr)."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(map(format_cell, row) for row in rows)
+        writer.writerows(rows)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
-from .inputs import parse_count, parse_number, read_csv, read_json
+from .inputs import parse_count, parse_number, positions, read_csv, read_json
 from .intervals import EstimateInterval
 
 __all__ = [
@@ -248,12 +248,13 @@ def load_mix_table(path) -> dict[str, ElectricityMix]:
     """CSV `country,carbon_intensity_g_per_kwh,adpe_kgsb_per_kwh`, keyed by
     upper-cased country code; the world average uses code WLD."""
     mixes: dict[str, ElectricityMix] = {}
-    _, rows = read_csv(path, LcaError, "electricity mix table", _MIX_COLUMNS)
+    header, rows = read_csv(path, LcaError, "electricity mix table", _MIX_COLUMNS)
+    at = positions(header)
     for line, row in rows:
-        code = row["country"].strip().upper()
+        code = row[at["country"]].strip().upper()
         try:
             mixes[code] = ElectricityMix(
-                code, *(parse_number(row[col], col, required=True) for col in _MIX_COLUMNS[1:])
+                code, *(parse_number(row[at[col]], col, required=True) for col in _MIX_COLUMNS[1:])
             )
         except ValueError as exc:
             raise LcaError(f"mix table {path}, line {line}, country {code!r}: {exc}") from None

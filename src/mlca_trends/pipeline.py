@@ -134,6 +134,8 @@ class RunConfig:
     gwp_floor: float = 50.0
 
     def __post_init__(self):
+        if self.out == "":  # Path("") would be the working directory
+            raise ConfigError('out must not be empty; give "." for the working directory')
         if not 0 <= self.gwp_floor <= sys.float_info.max:  # nan, inf and huge ints fail
             raise PipelineError(f"gwp floor must be a finite number >= 0, got {self.gwp_floor}")
         if self.scenario_ratio is not None and not 0 <= self.scenario_ratio <= 1:
@@ -528,8 +530,10 @@ def _point_rows(series: Series):
     """A row per point; a filtered series adds its labels and included flags."""
     name = series.name
     if series.included is None:
-        return ([name, "point", "", *_date_cells(d), v, *_BLANK_FIT] for d, v in series.points)
-    return ([name, "point", label, *_date_cells(d), v, "true" if kept else "false", *_BLANK_FIT]
+        return ([name, "point", "", *_date_cells(d), format_cell(v), *_BLANK_FIT]
+                for d, v in series.points)
+    return ([name, "point", label, *_date_cells(d), format_cell(v), "true" if kept else "false",
+             *_BLANK_FIT]
             for label, (d, v), kept in zip(series.labels, series.points, series.included))
 
 
@@ -537,7 +541,8 @@ def _trend_row(series: Series) -> list:
     """The trend row of a series: blank fit cells when it has no fit."""
     included = () if series.included is None else ("",)
     return [series.name, "trend", "", "", "", "", *included,
-            *(getattr(series.fit, name, "") for name in _FIT_COLUMNS), series.n_excluded]
+            *(format_cell(getattr(series.fit, name, "")) for name in _FIT_COLUMNS),
+            series.n_excluded]
 
 
 def _trends_csv_rows(trends: list[Series]):
@@ -566,7 +571,8 @@ OUTPUTS = {
         "estimate", True,
         ("system", "method", "gpu_hours_min", "gpu_hours_ref", "gpu_hours_max"),
         lambda run: (
-            [system.name, est.method, est.interval.min, est.interval.reference, est.interval.max]
+            [system.name, est.method,
+             *map(format_cell, (est.interval.min, est.interval.reference, est.interval.max))]
             for system, _, est in run.estimates[0]
         ),
     ),
@@ -576,11 +582,11 @@ OUTPUTS = {
          "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max", "adpe_kgsb_min", "adpe_kgsb_ref",
          "adpe_kgsb_max", "embodied_gwp_ref", "embodied_adpe_ref", "method"),
         lambda run: (
-            [r.system_name, r.publication_date,
-             r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
-             r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
-             r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
-             r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb, r.method]
+            [r.system_name, r.publication_date, *map(format_cell, (
+                r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
+                r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
+                r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
+                r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb)), r.method]
             for r in run.impacts[0]
         ),
     ),
@@ -591,8 +597,8 @@ OUTPUTS = {
     ),
     "embodied_shares.csv": (
         "impacts", True, ("metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"),
-        lambda run: ([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n, s.excluded]
-                     for s in run.shares[0]),
+        lambda run: ([s.metric, *map(format_cell, (s.min, s.q1, s.median, s.mean, s.q3, s.max)),
+                      s.n, s.excluded] for s in run.shares[0]),
     ),
     # written as scenario_<ratio>.csv; report writes it only when a ratio is
     # set. The points of both series, then both trend rows, fitted or not.

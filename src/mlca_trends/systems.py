@@ -4,18 +4,23 @@ The canonical CSV schema is SYSTEM_COLUMNS; exports from upstream databases
 with drifting headers are adapted through a column-mapping config (JSON,
 upstream column -> canonical field). Multi-valued cells (hardware, countries)
 are split on ';' or ',' and kept in source order: the first listed country is
-the reference for impact evaluation downstream.
+the reference for impact evaluation downstream. Cells are read by position,
+found once per table; a field the table lacks reads blank. system_rows writes
+every cell as text, numbers at full precision, so records parse back the same.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cache
+from operator import itemgetter
 
 from .catalog import RowError
 from .errors import SystemsError
-from .inputs import parse_count, parse_date, parse_number, read_csv, read_json
+from .inputs import parse_count, parse_date, parse_number, positions, read_csv, read_json
 
 __all__ = [
     "SYSTEM_COLUMNS",
@@ -45,8 +50,9 @@ SYSTEM_COLUMNS = [
 
 CONFIDENCE_LEVELS = ("confident", "likely", "speculative", "unknown")
 
-_TRUE_WORDS = frozenset({"true", "1", "yes", "y"})
-_FALSE_WORDS = frozenset({"false", "0", "no", "n", ""})
+# a finetuned cell, stripped and lower-cased -> its value
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "y"), True),
+             **dict.fromkeys(("false", "0", "no", "n", ""), False)}
 
 
 @dataclass(frozen=True)
@@ -158,52 +164,46 @@ def _split_multi(cell: str) -> tuple[str, ...] | None:
     return tuple(parts) or None
 
 
-def _parse_row(row: dict[str, str]) -> SystemRecord:
-    def get(name: str) -> str:
-        return row.get(name, "").strip()
-
-    quantity = parse_count(row.get("hardware_quantity"), "hardware_quantity")
-    pub_date = parse_date(row.get("publication_date", ""), "publication_date")
-    confidence = get("confidence").lower() or "unknown"
-    finetuned_cell = get("finetuned").lower()
-    if finetuned_cell in _TRUE_WORDS:
-        finetuned = True
-    elif finetuned_cell in _FALSE_WORDS:
-        finetuned = False
-    else:
-        raise ValueError(f"column 'finetuned': cannot parse boolean from {finetuned_cell!r}")
-
-    return SystemRecord(
-        name=get("name"),
-        publication_date=pub_date,
-        training_flop=parse_number(row.get("training_flop"), "training_flop"),
-        hardware_names=_split_multi(get("hardware_names")),
-        hardware_quantity=quantity,
-        training_hours=parse_number(row.get("training_hours"), "training_hours"),
-        countries=_split_multi(get("countries")),
-        confidence=confidence,
-        finetuned=finetuned,
-    )
-
-
 def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list[RowError]]:
     """Read a systems CSV, optionally remapping upstream column names.
 
     Returns records in file order plus row-level errors for malformed rows.
-    Raises SystemsError for a missing or unreadable file or when the
-    name/publication_date columns cannot be found after mapping.
+    Repeated date, hardware and country cells are parsed once and share one
+    date or tuple. Raises SystemsError for a missing or unreadable file or
+    when the name/publication_date columns cannot be found after mapping.
     """
     column_map = column_map or {}
     header, rows = read_csv(path, SystemsError, "systems table")
-    mapped = {column_map.get(col, col): col for col in header}
+    at = positions(column_map.get(col, col) for col in header)
     for required in ("name", "publication_date"):
-        if required not in mapped:
+        if required not in at:
             raise SystemsError(f"systems table {path} lacks a column mapping to {required!r}")
+    # a lacking column reads the blank cell appended after each row's len(header) cells
+    cells = itemgetter(*(at.get(col, len(header)) for col in SYSTEM_COLUMNS))
+    dates = cache(lambda cell: parse_date(cell, "publication_date"))  # errors are not kept
+    splits = cache(_split_multi)
     records: list[SystemRecord] = []
     errors: list[RowError] = []
     for line, row in rows:
+        row.append("")
+        name, date, flop, hardware, quantity, hours, countries, confidence, finetuned = cells(row)
         try:
-            records.append(_parse_row({canon: row[col] for canon, col in mapped.items()}))
+            quantity = parse_count(quantity, "hardware_quantity")
+            date = dates(date)
+            finetuned = finetuned.strip().lower()
+            if finetuned not in _BOOLEANS:
+                raise ValueError(f"column 'finetuned': cannot parse boolean from {finetuned!r}")
+            records.append(SystemRecord(
+                name=name.strip(),
+                publication_date=date,
+                training_flop=parse_number(flop, "training_flop"),
+                hardware_names=splits(hardware),
+                hardware_quantity=quantity,
+                training_hours=parse_number(hours, "training_hours"),
+                countries=splits(countries),
+                confidence=confidence.strip().lower() or "unknown",
+                finetuned=_BOOLEANS[finetuned],
+            ))
         except ValueError as exc:
             errors.append(RowError(line=line, message=str(exc)))
     return records, errors
@@ -227,37 +227,27 @@ def system_rows(systems):
     )
 
 
-def _counts_for(systems) -> CoverageCounts:
-    flop = [s.training_flop is not None for s in systems]
-    hardware = [bool(s.hardware_names) for s in systems]
-    duration = [s.training_hours is not None for s in systems]
-    quantity = [s.hardware_quantity is not None for s in systems]
-    return CoverageCounts(
-        systems=len(systems),
-        flop=sum(flop),
-        hardware=sum(hardware),
-        flop_and_hardware=sum(f and h for f, h in zip(flop, hardware)),
-        duration=sum(duration),
-        quantity=sum(quantity),
-        duration_and_quantity=sum(d and q for d, q in zip(duration, quantity)),
-        duration_quantity_hardware=sum(
-            d and q and h for d, q, h in zip(duration, quantity, hardware)
-        ),
-    )
-
-
 def coverage_summary(systems) -> CoverageSummary:
     """Presence counts and percentages, cross-tabulated by confidence.
 
+    One pass counts the systems of each confidence and presence pattern.
     Conjunction columns are computed on the same rows as their conjuncts, so
     each conjunction count is bounded by each conjunct's count.
     """
-    systems = list(systems)
-    by_confidence = {
-        level: _counts_for([s for s in systems if s.confidence == level])
-        for level in CONFIDENCE_LEVELS
-    }
-    return CoverageSummary(counts=_counts_for(systems), by_confidence=by_confidence)
+    patterns = Counter(
+        (s.confidence, s.training_flop is not None, bool(s.hardware_names),
+         s.training_hours is not None, s.hardware_quantity is not None)
+        for s in systems
+    )
+    totals = {level: [0] * len(COVERAGE_METRICS) for level in CONFIDENCE_LEVELS}
+    for (level, flop, hardware, duration, quantity), n in patterns.items():
+        present = (True, flop, hardware, flop and hardware, duration, quantity,
+                   duration and quantity, duration and quantity and hardware)
+        totals[level] = [total + n * p for total, p in zip(totals[level], present)]
+    return CoverageSummary(
+        counts=CoverageCounts(*map(sum, zip(*totals.values()))),
+        by_confidence={level: CoverageCounts(*counts) for level, counts in totals.items()},
+    )
 
 
 def eligible_systems(systems):

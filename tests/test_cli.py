@@ -16,7 +16,7 @@ from scipy import stats as sps
 from mlca_trends import pipeline
 from mlca_trends.catalog import CARD_COLUMNS, LATEST_RELEASE_YEAR
 from mlca_trends.cli import _build_parser, _config_from_args, main
-from mlca_trends.errors import PipelineError
+from mlca_trends.errors import ConfigError, PipelineError
 from mlca_trends.estimation import fit_bridge
 from mlca_trends.pipeline import (
     OUTPUTS,
@@ -484,6 +484,48 @@ class TestSeriesLayouts:
             assert (trend["n_used"], trend["n_excluded_floor"]) == ("3", "0")
 
 
+def _zero_floor_config(tmp_path: Path) -> RunConfig:
+    """TestSeriesLayouts' zero-footprint case: zero production factors, a
+    0 g/kWh mix for one of four systems, a card table of four, and a GWP
+    floor of 0."""
+    cards = _write_table(tmp_path / "cards.csv", CARD_COLUMNS, [
+        ["Edge A", "NVIDIA", "2016-01-01", 100, 16, 8, "GDDR5", 150, "", 1e13, "", ""],
+        ["Edge B", "NVIDIA", "2017-01-01", 200, "", 16, "GDDR5", 200, "", 2e13, "", ""],
+        ["Edge C", "NVIDIA", "2018-01-01", 300, "", 0, "GDDR5", 250, "", 3e13, "", ""],
+        ["Edge D", "NVIDIA", "2019-01-01", 400, 7, 32, "HBM2", 300, "", 4e13, "", ""],
+    ])
+    factors = tmp_path / "zero_factors.json"
+    factors.write_text(json.dumps({
+        key: {"gwp_kg": 0, "adpe_kgsb": 0}
+        for key in ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production")
+    }), encoding="utf-8")
+    mixes = _write_table(tmp_path / "mixes.csv",
+                         ["country", "carbon_intensity_g_per_kwh", "adpe_kgsb_per_kwh"],
+                         [["WLD", 475, 1.2e-8], ["USA", 380, 1.1e-8], ["ZZZ", 0, 0]])
+    systems = _write_table(tmp_path / "systems.csv", SYSTEM_COLUMNS, [
+        [name, date, "", "Edge A", 100, 10000, country, "confident", "false"]
+        for name, date, country in (("Big 1", "2020-03-01", "USA"), ("Big 2", "2021-03-01", "USA"),
+                                    ("Big 3", "2022-03-01", "USA"), ("Clean", "2022-06-01", "ZZZ"))
+    ])
+    return RunConfig(cards=cards, cards_extra=None, systems=systems, factors=factors,
+                     mixes=mixes, scenario_ratio=0.1, gwp_floor=0.0)
+
+
+@pytest.mark.parametrize("case", ["bundled", "zero-floor"])
+def test_no_float_cell_reaches_the_csv_writer(tmp_path, case):
+    """Every CSV row builder formats its float cells (numpy.float64 is a
+    float too) with format_cell: csv would write a float's repr instead."""
+    config = (RunConfig(scenario_ratio=0.1) if case == "bundled"
+              else _zero_floor_config(tmp_path))
+    run = Run(config)
+    csv_outputs = {name: list(content(run))
+                   for name, (_, _, header, content) in OUTPUTS.items() if header is not None}
+    assert all(csv_outputs.values())  # every builder made rows to check
+    floats = [(name, row) for name, rows in csv_outputs.items() for row in rows
+              if any(isinstance(cell, float) for cell in row)]
+    assert floats == []
+
+
 class TestCliCommands:
     def test_report_exit_zero_and_six_files(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path / "out")])
@@ -669,6 +711,13 @@ class TestCliCommands:
         assert sorted(p.name for p in cwd.iterdir()) == [
             "catalog.csv", "merge_report.json", "systems_normalized.csv"
         ]
+
+    def test_a_library_callers_empty_out_is_the_same_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as raised:
+            run_pipeline(RunConfig(out=""), "ingest")
+        assert str(raised.value) == 'out must not be empty; give "." for the working directory'
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_var_bundles_paths(self, tmp_path, monkeypatch, capsys):
         bundle = {

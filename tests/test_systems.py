@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlca_trends.errors import SystemsError
 from mlca_trends.inputs import write_csv
 from mlca_trends.systems import (
+    CONFIDENCE_LEVELS,
     COVERAGE_METRICS,
     SYSTEM_COLUMNS,
     CoverageCounts,
@@ -72,6 +75,14 @@ class TestParse:
         rows = [f"S{i},2021-01-01,,,,,,unknown,false" for i in range(20)]
         records, _ = parse_systems_table(write_systems(tmp_path, rows))
         assert [r.name for r in records] == [f"S{i}" for i in range(20)]
+
+    def test_repeated_cells_share_one_value_and_a_bad_one_fails_each_time(self, tmp_path):
+        rows = ["A,2021-01-01,,V100,,,USA,,", "B,2021-01-01,,V100,,,USA,,",
+                "C,2021-02-30,,,,,,,", "D,2021-02-30,,,,,,,"]
+        (a, b), errors = parse_systems_table(write_systems(tmp_path, rows))
+        assert a.publication_date is b.publication_date
+        assert (a.hardware_names is b.hardware_names, a.countries is b.countries) == (True, True)
+        assert [e.line for e in errors] == [4, 5]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemsError, match="not found"):
@@ -187,6 +198,43 @@ class TestCoverage:
             assert c.duration_and_quantity <= min(c.duration, c.quantity)
             assert c.duration_quantity_hardware <= min(c.duration_and_quantity, c.hardware)
             assert max(c.as_tuple()) <= c.systems
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(CONFIDENCE_LEVELS), st.booleans(), st.booleans(),
+                              st.booleans(), st.booleans()), max_size=40))
+    def test_one_pass_counts_equal_four_passes_per_slice(self, patterns):
+        systems = [
+            record(training_flop=1e20 if flop else None,
+                   hardware_names=("V100",) if hardware else None,
+                   training_hours=24.0 if duration else None,
+                   hardware_quantity=8 if quantity else None, confidence=level)
+            for level, flop, hardware, duration, quantity in patterns
+        ]
+
+        def counts_for(systems):  # a list comprehension per presence column
+            flop = [s.training_flop is not None for s in systems]
+            hardware = [bool(s.hardware_names) for s in systems]
+            duration = [s.training_hours is not None for s in systems]
+            quantity = [s.hardware_quantity is not None for s in systems]
+            return CoverageCounts(
+                systems=len(systems),
+                flop=sum(flop),
+                hardware=sum(hardware),
+                flop_and_hardware=sum(f and h for f, h in zip(flop, hardware)),
+                duration=sum(duration),
+                quantity=sum(quantity),
+                duration_and_quantity=sum(d and q for d, q in zip(duration, quantity)),
+                duration_quantity_hardware=sum(
+                    d and q and h for d, q, h in zip(duration, quantity, hardware)
+                ),
+            )
+
+        summary = coverage_summary(iter(systems))
+        assert summary.counts == counts_for(systems)
+        assert summary.by_confidence == {
+            level: counts_for([s for s in systems if s.confidence == level])
+            for level in CONFIDENCE_LEVELS
+        }
 
     def test_csv_rows_layout(self):
         rows = coverage_summary([record("A", training_flop=1e20)]).csv_rows()
