@@ -556,7 +556,8 @@ def _trends_csv_rows(trends: list[Series]):
 # Output file -> (the stage subcommand that writes it, whether report writes
 # it too, its CSV header (None: a JSON file), run -> its rows or JSON
 # payload), in write order. A row function reads only the stages its file
-# shows, so writing the file computes those stages and no others.
+# shows, so writing the file computes those stages and no others. Its float
+# cells go through format_cell: csv would write a repr (np.float64(...)).
 OUTPUTS = {
     "catalog.csv": ("ingest", False, CARD_COLUMNS, lambda run: card_rows(run.bundle.full_catalog)),
     "systems_normalized.csv": ("ingest", False, SYSTEM_COLUMNS,

@@ -168,8 +168,8 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
     """Read a systems CSV, optionally remapping upstream column names.
 
     Returns records in file order plus row-level errors for malformed rows.
-    Repeated date, hardware and country cells are parsed once and share one
-    date or tuple. Raises SystemsError for a missing or unreadable file or
+    Repeated hardware and country cells are split once and share one tuple:
+    few distinct values fill those columns. Raises SystemsError for a missing or unreadable file or
     when the name/publication_date columns cannot be found after mapping.
     """
     column_map = column_map or {}
@@ -180,7 +180,6 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
             raise SystemsError(f"systems table {path} lacks a column mapping to {required!r}")
     # a lacking column reads the blank cell appended after each row's len(header) cells
     cells = itemgetter(*(at.get(col, len(header)) for col in SYSTEM_COLUMNS))
-    dates = cache(lambda cell: parse_date(cell, "publication_date"))  # errors are not kept
     splits = cache(_split_multi)
     records: list[SystemRecord] = []
     errors: list[RowError] = []
@@ -189,7 +188,7 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
         name, date, flop, hardware, quantity, hours, countries, confidence, finetuned = cells(row)
         try:
             quantity = parse_count(quantity, "hardware_quantity")
-            date = dates(date)
+            date = parse_date(date, "publication_date")
             finetuned = finetuned.strip().lower()
             if finetuned not in _BOOLEANS:
                 raise ValueError(f"column 'finetuned': cannot parse boolean from {finetuned!r}")

@@ -706,6 +706,9 @@ class TestCliCommands:
             'error [config]: out must not be empty; give "." for the working directory'
         ]
         assert list(cwd.iterdir()) == []
+        if source == "env":  # a flag overrides the config file's empty out
+            assert main(["ingest", "--out", str(tmp_path / "flagged")]) == 0
+            assert list(cwd.iterdir()) == [] and (tmp_path / "flagged" / "catalog.csv").is_file()
         monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
         assert main(["ingest", "--out", "."]) == 0  # the working directory, said so
         assert sorted(p.name for p in cwd.iterdir()) == [
