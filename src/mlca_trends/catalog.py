@@ -57,18 +57,12 @@ _NUMBER_COLUMNS = [col for col in CARD_COLUMNS[3:] if col != "memory_type"]
 
 CARD_SOURCES = ("techpowerup", "wiki", "datasheet", "other")
 
-# Spec-level field names accepted wherever a card field is selected.
-_FIELD_ALIASES = {
-    "die_area": "die_area_mm2",
-    "process_node": "process_node_nm",
-    "memory_size": "memory_gb",
-    "tdp": "tdp_w",
-    "die_area_mm2": "die_area_mm2",
-    "process_node_nm": "process_node_nm",
-    "memory_gb": "memory_gb",
-    "tdp_w": "tdp_w",
-    "release_date": "release_date",
-}
+# Field names accepted wherever a card field is selected: each characteristic
+# by its spec-level name or its attribute name, and release_date.
+_CHARACTERISTICS = {"die_area": "die_area_mm2", "process_node": "process_node_nm",
+                    "memory_size": "memory_gb", "tdp": "tdp_w"}
+_FIELD_ALIASES = {**_CHARACTERISTICS,
+                  **{name: name for name in (*_CHARACTERISTICS.values(), "release_date")}}
 
 # Fields compared when cross-validating two sources. Release dates within
 # 30 days count as equal (announcement vs availability).
@@ -112,24 +106,15 @@ class CardSpec:
         if not 1990 <= self.release_date.year <= LATEST_RELEASE_YEAR:
             raise ValueError(f"release_date {self.release_date} outside "
                              f"[1990, {LATEST_RELEASE_YEAR}]")
-        for field_name, lower_ok in (
-            ("die_area_mm2", False),
-            ("process_node_nm", False),
-            ("memory_gb", True),
-            ("tdp_w", False),
-            ("peak_fp64", False),
-            ("peak_fp32", False),
-            ("peak_fp16", False),
-            ("peak_tensor", False),
-        ):
+        for field_name in _NUMBER_COLUMNS:  # memory may be 0, no other figure may
             value = getattr(self, field_name)
             if value is None:
                 continue
             if not math.isfinite(value):
                 raise ValueError(f"{field_name} must be finite, got {value}")
-            if lower_ok and value < 0:
+            if field_name == "memory_gb" and value < 0:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
-            if not lower_ok and value <= 0:
+            if field_name != "memory_gb" and value <= 0:
                 raise ValueError(f"{field_name} must be > 0, got {value}")
 
     @cached_property  # frozen without __slots__, so the instance dict holds it
@@ -386,15 +371,10 @@ def resolve_card_reference(query: str, catalog, plausibility=None) -> CardRefere
     if not candidates:
         raise UnresolvedCardError(query)
 
-    reference = None
-    ranked = (plausibility or {}).get(nq, [])
     by_name = {c.normalized_name: c for c in candidates}
-    for preferred in ranked:
-        if preferred in by_name:
-            reference = by_name[preferred]
-            break
-    if reference is None:
-        reference = min(candidates, key=lambda c: (c.release_date, c.normalized_name))
+    ranked = [by_name[name] for name in (plausibility or {}).get(nq, []) if name in by_name]
+    reference = ranked[0] if ranked else min(
+        candidates, key=lambda c: (c.release_date, c.normalized_name))
     return CardReference(query_name=query, candidates=tuple(candidates), reference=reference)
 
 

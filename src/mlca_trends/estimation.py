@@ -17,13 +17,14 @@ from functools import cached_property
 from .catalog import CardReference, CardSpec
 from .errors import DegenerateDataError, EstimationError, MissingPeakError
 from .intervals import EstimateInterval
-from .stats import DiagnosticReport, RegressionResult, diagnostics, wls_fit
+from .stats import DiagnosticReport, RegressionResult, diagnostics, median, wls_fit
 
 __all__ = [
     "PEAK_FIELDS",
     "GpuHoursEstimate",
     "BridgeModel",
     "best_peak",
+    "flop_hours",
     "gpu_hours_direct",
     "gpu_hours_from_flop",
     "detect_anomalies",
@@ -38,7 +39,7 @@ PEAK_FIELDS = ("peak_fp32", "peak_fp16", "peak_tensor")
 _SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GpuHoursEstimate:
     """GPU-hours with provenance and a candidate-card interval.
 
@@ -113,6 +114,13 @@ def best_peak(card: CardSpec) -> float:
     return max(peaks)
 
 
+def flop_hours(flop: float, card: CardSpec) -> float:
+    """gpu_hours_from_flop's value, with its checks, and no record built."""
+    if flop <= 0:
+        raise EstimationError(f"FLOP count must be > 0, got {flop}")
+    return _checked_hours(flop / (best_peak(card) * _SECONDS_PER_HOUR), "compute-based")
+
+
 def gpu_hours_direct(duration_hours: float, quantity: int) -> GpuHoursEstimate:
     """duration x quantity; the most reliable estimate when both are known."""
     if duration_hours <= 0:
@@ -129,9 +137,7 @@ def gpu_hours_from_flop(flop: float, card: CardSpec) -> GpuHoursEstimate:
     Underestimates real GPU-hours since hardware does not run at peak; the
     bridge regression corrects for that on average.
     """
-    if flop <= 0:
-        raise EstimationError(f"FLOP count must be > 0, got {flop}")
-    value = _checked_hours(flop / (best_peak(card) * _SECONDS_PER_HOUR), "compute-based")
+    value = flop_hours(flop, card)
     return GpuHoursEstimate(
         value=value,
         method="flop_based",
@@ -146,10 +152,10 @@ def detect_anomalies(pairs, k: float = 3.0):
     A pair is anomalous when the system is flagged fine-tuned (the compute
     estimate then covers the base model, not the fine-tune) or when its
     log-ratio log(h_direct/h_flop) sits more than k MADs from the median
-    ratio. Returns (clean, anomalous) where anomalous entries carry a reason;
-    together they partition the input in order.
+    ratio, or when h_direct/h_flop is 0 or inf (no log-ratio; not in the
+    median). Returns (clean, anomalous) where anomalous entries carry a
+    reason; together they partition the input in order.
     """
-    import numpy as np
     pairs = list(pairs)
     ratios = []
     for system, h1, h2 in pairs:
@@ -157,22 +163,24 @@ def detect_anomalies(pairs, k: float = 3.0):
             raise EstimationError(
                 f"both estimates must be > 0, got ({h1}, {h2}) for {getattr(system, 'name', system)!r}"
             )
-        ratios.append(math.log(h1 / h2))
-    clean, anomalous = [], []
-    if not pairs:
-        return clean, anomalous
-    median = float(np.median(ratios))
-    mad = float(np.median(np.abs(np.array(ratios) - median)))
+        quotient = h1 / h2
+        ratios.append(math.log(quotient) if 0 < quotient < math.inf else None)
+    finite = [ratio for ratio in ratios if ratio is not None]
+    center = median(finite)
+    mad = median([abs(ratio - center) for ratio in finite])
     # Absolute guard keeps ulp-level noise in exact-ratio data from tripping
     # the zero-MAD case.
-    threshold = k * mad + 1e-12 * max(1.0, abs(median))
+    threshold = k * mad + 1e-12 * max(1.0, abs(center))
+    clean, anomalous = [], []
     for pair, ratio in zip(pairs, ratios):
         system = pair[0]
         if getattr(system, "finetuned", False):
             anomalous.append((pair, "finetuned"))
-        elif abs(ratio - median) > threshold:
+        elif ratio is None:
+            anomalous.append((pair, "direct/FLOP GPU-hour quotient outside the float range"))
+        elif abs(ratio - center) > threshold:
             anomalous.append(
-                (pair, f"log-ratio outlier: |{ratio:.4g} - median {median:.4g}| > {k}*MAD")
+                (pair, f"log-ratio outlier: |{ratio:.4g} - median {center:.4g}| > {k}*MAD")
             )
         else:
             clean.append(pair)
@@ -232,7 +240,7 @@ def estimate_gpu_hours(
         per_card = []
         for card in card_ref.candidates:
             try:
-                hours = gpu_hours_from_flop(system.training_flop, card).value
+                hours = flop_hours(system.training_flop, card)
             except MissingPeakError:
                 if card is card_ref.reference:
                     raise

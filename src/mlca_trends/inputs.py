@@ -15,6 +15,8 @@ from pathlib import Path
 
 
 def _existing(path, error, what) -> Path:
+    if path == "":  # Path("") would name the working directory
+        raise error(f'{what} not found: "" (an empty path)')
     path = Path(path)
     if not path.is_file():
         raise error(f"{what} not found: {path}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimateInterval:
     """Scalar (min, reference, max) triple with min <= reference <= max."""
 

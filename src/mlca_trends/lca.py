@@ -35,6 +35,7 @@ from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
 from .inputs import parse_count, parse_number, positions, read_csv, read_json
 from .intervals import EstimateInterval
+from .stats import quartiles
 
 __all__ = [
     "WORLD_MIX_CODE",
@@ -65,7 +66,7 @@ WORLD_MIX_CODE = "WLD"  # pseudo-country for multi-national collaborations
 SCENARIO_BASE_YEAR = 2019
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImpactVector:
     """(GWP, ADPe) pair; components finite and never negative."""
 
@@ -177,7 +178,7 @@ class LcaConstants:
         return self.lifespan_hours * self.avg_lifetime_utilization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemImpact:
     """Per-metric impact intervals for one system, plus the reference-phase
     split and the reference mix (the first-listed country's), which a
@@ -409,7 +410,8 @@ def system_impact(
     A total is the usage impact of training_energy plus the embodied part:
     the card's production and CPU vector scaled by amortized_cards or,
     quantity unknown, by device-hours over amortizable hours. card_constants
-    memoizes each card's (server, vector) over calls sharing the tables.
+    memoizes each card's (server, vector) over calls sharing the tables,
+    keyed by id(card): the cards must outlive it.
     """
     countries = [c.strip().upper() for c in (system.countries or (WORLD_MIX_CODE,))]
     for code in countries:
@@ -425,9 +427,10 @@ def system_impact(
         hours = estimate.value if hours_by_card is None else hours_by_card.get(card.name)
         if hours is None:
             continue  # no usable peak for this candidate; already skipped upstream
-        if card not in card_constants:
-            card_constants[card] = _card_constants(card, server_profiles, factors)
-        server, per_card = card_constants[card]
+        key = id(card)  # hashing a CardSpec would hash its 13 fields
+        if key not in card_constants:
+            card_constants[key] = _card_constants(card, server_profiles, factors)
+        server, per_card = card_constants[key]
         try:
             energy = training_energy(hours, card, server, constants)
             if isinstance(per_card, CannotEstimateError):
@@ -479,7 +482,7 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
     impact_pairs is a list of (embodied, total) ImpactVector pairs with
     embodied <= total component-wise. Rows whose total is zero for a metric
     are excluded from that metric's summary and counted. Quartiles use
-    linear interpolation.
+    linear interpolation, as np.percentile does.
     """
     import numpy as np
     pairs = list(impact_pairs)
@@ -498,7 +501,7 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
             shares.append(100.0 * e / t)
         if shares:
             arr = np.array(shares)
-            q1, median, q3 = np.percentile(arr, [25, 50, 75])
+            q1, median, q3 = quartiles(np.sort(arr).tolist())  # sorted() then finds one run
             values = (arr.min(), q1, median, arr.mean(), q3, arr.max())
         else:
             values = (math.nan,) * 6

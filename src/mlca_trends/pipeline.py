@@ -58,8 +58,8 @@ from .estimation import (
     detect_anomalies,
     estimate_gpu_hours,
     fit_bridge,
+    flop_hours,
     gpu_hours_direct,
-    gpu_hours_from_flop,
 )
 from .inputs import format_cell, write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
@@ -239,7 +239,7 @@ def fit_bridge_stage(eligible, card_refs) -> tuple[BridgeModel | None, dict]:
             continue
         try:
             h1 = gpu_hours_direct(system.training_hours, system.hardware_quantity).value
-            h2 = gpu_hours_from_flop(system.training_flop, card_ref.reference).value
+            h2 = flop_hours(system.training_flop, card_ref.reference)
         except EstimationError:  # no usable peak, or hours outside the float range
             continue
         pairs.append((system, h1, h2))

@@ -25,6 +25,7 @@ package's 90 ms import. scipy.stats is never imported: only bridge.json
 needs a p-value, so of the CLI's subcommands only bridge and report load
 scipy.special._ufuncs. numpy, too, is imported inside each function that
 computes with it: import mlca_trends loads neither, nor do ingest and coverage.
+median and quartiles replace np.median and np.percentile, which load numpy.ma.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
     "diagnostics",
     "exp_trend",
     "to_fractional_year",
+    "median",
+    "quartiles",
 ]
 
 
@@ -485,3 +488,29 @@ def exp_trend(series, weighting: str = "ols") -> TrendFit:
         n_excluded=n_excluded,
         regression=fit,
     )
+
+
+def median(values) -> float:
+    """np.median of floats, bit for bit: the middle value or the mean of the
+    two middle values; nan if any value is nan or there is none."""
+    ordered = sorted(values)
+    if not ordered or any(map(math.isnan, ordered)):
+        return math.nan
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """np.percentile(values, [25, 50, 75]) of one or more floats, bit for bit
+    (linear, interpolated as numpy's _lerp does); nan if any value is nan."""
+    ordered = sorted(values)
+    if any(map(math.isnan, ordered)):
+        return (math.nan,) * 3
+    last = len(ordered) - 1
+    result = []
+    for q in (0.25, 0.5, 0.75):
+        index = last * q
+        below = math.floor(index) if index < last else -1  # one value: numpy's t is then 1
+        a, b, t = ordered[below], ordered[below + 1], index - below
+        result.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(result)

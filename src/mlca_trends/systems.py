@@ -55,7 +55,7 @@ _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "y"), True),
              **dict.fromkeys(("false", "0", "no", "n", ""), False)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemRecord:
     """One notable ML system; absent fields are None."""
 

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -299,6 +300,42 @@ class TestNumpyOnDemand:
         steps = _fresh_main_loads([[*command, "--out", str(tmp_path / "out")]], "numpy")
         assert steps == [(None, False), (0, True)]
 
+    def test_no_subcommand_loads_numpy_ma(self, tmp_path):
+        commands = [[*command, "--out", str(tmp_path / command[0])]
+                    for command in (["ingest"], ["coverage"], ["bridge"], ["estimate"],
+                                    ["impacts"], ["trends"], ["scenario", "--scenario-ratio", "0.1"],
+                                    ["report", "--scenario-ratio", "0.1"])]
+        assert _fresh_main_loads(commands, "numpy.ma") == [(None, False)] + [(0, False)] * 8
+
+
+class TestProcessEntry:
+    """main() leaves the collector as it finds it; the process entry freezes
+    the heap once main() returns, so the shutdown collections skip it."""
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        assert main(["bridge", "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_python_m_is_main_then_a_freeze(self, tmp_path, capsys):
+        # a sitecustomize on PYTHONPATH reports, at exit, whether the heap was frozen
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), str(_SRC)])
+        out = str(tmp_path / "out")
+        for args in (["bridge", "--out", out], ["scenario", "--out", out], ["--version"],
+                     ["report", "--scenario-ratio", "abc"]):
+            result = subprocess.run([sys.executable, "-m", "mlca_trends.cli", *args], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            try:
+                code = main(args)
+            except SystemExit as exc:  # --version and usage errors
+                code = exc.code
+            assert (result.returncode, result.stdout) == (code, capsys.readouterr().out)
+            assert result.stderr.endswith("frozen True\n"), result.stderr
+
 
 class TestOneBlasThread:
     """Importing the package pins OpenBLAS to one thread, whatever the caller set."""
@@ -547,6 +584,15 @@ class TestCliCommands:
         )
         assert code == 1
         assert "error [systems]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, stage, what", [("--cards", "catalog", "card table"),
+                                                   ("--systems", "systems", "systems table")])
+    def test_an_empty_input_path_is_named_not_read_as_the_working_directory(
+        self, tmp_path, capsys, flag, stage, what
+    ):
+        assert main(["ingest", flag, "", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f'error [{stage}]: {what} not found: "" (an empty path)\n'
+        assert not (tmp_path / "out").exists()
 
     def test_coverage_command(self, tmp_path, capsys):
         code = main(["coverage", "--out", str(tmp_path / "out")])
@@ -1010,6 +1056,21 @@ class TestInputBoundary:
         for written in out.iterdir():
             text = written.read_text(encoding="utf-8")
             assert not {"inf", "-inf", "Infinity"} & set(text.replace(",", " ").split()), written
+
+    @pytest.mark.parametrize("command", ["bridge", "report"])
+    @pytest.mark.parametrize("row", [
+        "Tiny-hours,2021-05-01,1e25,V100,1,1e-320,USA,likely,false",  # quotient 0
+        "Huge-hours,2021-05-01,1e-300,V100,1,1e300,USA,likely,false",  # quotient inf
+    ], ids=["zero", "inf"])
+    def test_a_bridge_quotient_outside_the_float_range_is_a_counted_anomaly(
+        self, tmp_path, capsys, command, row
+    ):
+        systems = tmp_path / "systems.csv"
+        systems.write_bytes(_bundled("systems_sample.csv") + f"{row}\n".encode())
+        assert main([command, "--systems", str(systems), "--out", str(tmp_path / "out")]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        # the bundled table alone has 10 pairs, one of them anomalous (fine-tuned)
+        assert [counts[f"bridge_{n}"] for n in ("pairs", "clean", "anomalous")] == [11, 9, 2]
 
     @pytest.mark.parametrize("command", ["report", "trends"])
     def test_a_production_impact_that_overflows_drops_the_card(self, tmp_path, capsys, command):

@@ -129,6 +129,18 @@ class TestAnomalies:
         with pytest.raises(EstimationError):
             detect_anomalies([(system(), 0.0, 1.0)])
 
+    def test_a_quotient_outside_the_float_range_is_its_own_anomaly(self):
+        pairs = [(system(f"S{i}"), 3.7 * h2, h2) for i, h2 in enumerate([10.0, 100.0, 1e3])]
+        pairs += [(system("Zero"), 1e-320, 1e7), (system("Inf"), 1e300, 1e-300)]
+        clean, anomalous = detect_anomalies(pairs)
+        assert clean == pairs[:3]  # the median and MAD come from the three finite ratios
+        assert [(pair[0].name, reason) for pair, reason in anomalous] == [
+            (name, "direct/FLOP GPU-hour quotient outside the float range")
+            for name in ("Zero", "Inf")
+        ]
+        # with no finite ratio at all every pair is still placed, none raises
+        assert detect_anomalies(pairs[3:]) == ([], anomalous)
+
 
 class TestBridge:
     def test_noiseless_recovery(self):

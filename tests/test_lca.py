@@ -272,6 +272,18 @@ class TestSystemImpact:
         for interval in (result.energy_kwh, result.gwp_kg, result.adpe_kgsb):
             assert interval.min == interval.reference == interval.max
 
+    def test_per_system_records_hold_no_instance_dict(
+        self, oracle_card, oracle_factors, profile_table, simple_mixes, default_constants
+    ):
+        sys = system(training_hours=100.0, hardware_quantity=4, hardware_names=("Card X",))
+        est = gpu_hours_direct(100.0, 4)
+        ref = CardReference("Card X", (oracle_card,), oracle_card)
+        result = system_impact(sys, est, ref, simple_mixes, profile_table,
+                               oracle_factors, default_constants)
+        # one record or more per system: slots keep a million of them small
+        for record in (sys, est, est.interval, result, result.gwp_kg, result.embodied_ref):
+            assert not hasattr(record, "__dict__"), type(record)
+
     def test_two_country_interval_hand_oracle(
         self, oracle_card, oracle_factors, profile_table, simple_mixes, default_constants
     ):

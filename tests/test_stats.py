@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlca_trends.errors import DegenerateDataError, StatsError
 from mlca_trends.stats import (
@@ -11,6 +13,8 @@ from mlca_trends.stats import (
     durbin_watson,
     exp_trend,
     feasible_weights,
+    median,
+    quartiles,
     shapiro_wilk,
     to_fractional_year,
     wls_fit,
@@ -403,3 +407,40 @@ def test_fractional_year_conversion():
     assert to_fractional_year(dt.date(2020, 12, 31)) == pytest.approx(2020.999, abs=1e-3)
     with pytest.raises(StatsError):
         to_fractional_year("2020-01-01")
+
+
+# Values numpy's median and percentile must survive: infinities, nan,
+# subnormals, signed zeros, pairs whose sum overflows, and repeats.
+_EDGES = [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
+          1.7e308, -1.7e308, 1.0, 1.0 + 2**-52, 3.0]
+_SAMPLES = st.one_of(
+    st.lists(st.one_of(st.floats(), st.sampled_from(_EDGES)), min_size=1, max_size=300),
+    st.lists(st.sampled_from(_EDGES[3:]), min_size=1, max_size=300),  # no nan; many repeats
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300),
+)
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal floats, or both nan. numpy may give 0.0 where a helper gives -0.0;
+    their callers never see -0.0, since math.log never yields it."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_SAMPLES)
+def test_median_is_numpys(values):
+    with np.errstate(all="ignore"):
+        expected = float(np.median(values))
+    assert _same(median(values), expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_SAMPLES)
+def test_quartiles_are_numpys_linear_percentiles(values):
+    with np.errstate(all="ignore"):
+        expected = np.percentile(values, [25, 50, 75])
+    assert all(map(_same, quartiles(values), map(float, expected))), (quartiles(values), expected)
+
+
+def test_median_of_nothing_is_nan():
+    assert math.isnan(median([]))
