@@ -196,7 +196,7 @@ def main(argv=None) -> int:
 def entry() -> int:
     """main() as the process entry of `python -m mlca_trends.cli` and the
     mlca-trends script: the heap is then frozen, so the shutdown collections
-    skip what numpy, scipy and the run left (10-16 ms). atexit still runs."""
+    skip what numpy, scipy and the run left. atexit handlers still run."""
     try:
         return main()
     finally:
