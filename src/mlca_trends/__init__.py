@@ -9,12 +9,6 @@ and fits exponential trends with heteroscedasticity-aware weighting.
 
 __version__ = "0.1.0"
 
-import os
-
-# Set before numpy loads: OpenBLAS's extra threads spin a core after each call and
-# split long dots, so a fit's last bits would depend on the core count.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
 from .catalog import (  # noqa: F401
     CardReference,
     CardSpec,

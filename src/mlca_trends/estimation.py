@@ -11,6 +11,7 @@ implied constant performance ratio (achieved / peak throughput).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,7 +75,7 @@ class BridgeModel:
     n_observations: int
     performance_ratio: float  # exp(-intercept); ~fraction of peak achieved
     fit: RegressionResult = field(repr=False, compare=False)
-    log_flop_hours: np.ndarray = field(repr=False, compare=False)  # the fit's x
+    log_flop_hours: array = field(repr=False, compare=False)  # the fit's x
 
     @property
     def f_pvalue(self) -> float:
@@ -192,20 +193,18 @@ def fit_bridge(clean_pairs) -> BridgeModel:
 
     Natural logarithms throughout.
     """
-    import numpy as np
     pairs = list(clean_pairs)
     if len(pairs) < 3:
         raise EstimationError(f"need at least 3 pairs to fit the bridge, got {len(pairs)}")
     if any(h1 <= 0 or h2 <= 0 for h1, h2 in pairs):
         raise EstimationError("all GPU-hour pairs must be positive")
-    x = np.log([h2 for _, h2 in pairs])
-    y = np.log([h1 for h1, _ in pairs])
-    fit = wls_fit(x, y)
+    x = array("d", [math.log(h2) for _, h2 in pairs])
+    fit = wls_fit(x, [math.log(h1) for h1, _ in pairs])
     return BridgeModel(
         intercept=fit.intercept,
         slope=fit.slope,
-        intercept_se=float(fit.standard_errors[0]),
-        slope_se=float(fit.standard_errors[1]),
+        intercept_se=fit.standard_errors[0],
+        slope_se=fit.standard_errors[1],
         adj_r2=fit.adj_r2,
         f_statistic=fit.f_statistic,
         f_df=fit.f_df,

@@ -484,7 +484,6 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
     are excluded from that metric's summary and counted. Quartiles use
     linear interpolation, as np.percentile does.
     """
-    import numpy as np
     pairs = list(impact_pairs)
     summaries = []
     total_excluded = 0
@@ -500,13 +499,12 @@ def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
                 continue
             shares.append(100.0 * e / t)
         if shares:
-            arr = np.array(shares)
-            q1, median, q3 = quartiles(np.sort(arr).tolist())  # sorted() then finds one run
-            values = (arr.min(), q1, median, arr.mean(), q3, arr.max())
+            q1, median, q3 = quartiles(shares)
+            values = (min(shares), q1, median, math.fsum(shares) / len(shares), q3, max(shares))
         else:
             values = (math.nan,) * 6
         summaries.append(
-            ShareSummary(metric, *map(float, values), n=len(shares), excluded=excluded)
+            ShareSummary(metric, *values, n=len(shares), excluded=excluded)
         )
         total_excluded += excluded
     return summaries, total_excluded

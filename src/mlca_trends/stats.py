@@ -16,29 +16,27 @@ Diagnostics:
     the p-value is indicative only. Reported p is one-sided for positive
     autocorrelation (small D -> small p).
 
-The F, chi-square and normal tails are scipy.special's fdtrc, chdtrc and
-ndtr, the functions scipy.stats evaluates for f.sf, chi2.sf and norm.cdf.
-They are loaded on first use, not at module load, and only from the compiled
-module scipy.special._ufuncs: the package __init__ would also load scipy's
-array-API layer (with numpy.f2py and numpy.testing), about 80 ms of the
-package's 90 ms import. scipy.stats is never imported: only bridge.json
-needs a p-value, so of the CLI's subcommands only bridge and report load
-scipy.special._ufuncs. numpy, too, is imported inside each function that
-computes with it: import mlca_trends loads neither, nor do ingest and coverage.
-median and quartiles replace np.median and np.percentile, which load numpy.ma.
+Every sum is math.fsum, which is exactly rounded, so a fit does not depend
+on the order of its points. Vectors are array('d'). The F, chi-square and
+normal tails come from math.erfc and series (_f_upper_tail): no subcommand
+loads numpy or scipy.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import importlib.util
 import math
-import sys
 import warnings
+from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
+from itertools import count
+from math import fsum
+from operator import mul
 
 from .errors import DegenerateDataError, StatsError
+
+_EPS = 2.0**-52  # float64 machine epsilon
 
 __all__ = [
     "RegressionResult",
@@ -62,34 +60,31 @@ class RegressionResult:
     """Fit of y = a + b*x minimizing sum w_i (y_i - a - b*x_i)^2.
 
     coefficients is (a, b); standard_errors matches. f_df is (1, n-2).
-    Compared by identity: a field-wise == over numpy arrays has no truth value.
+    Compared by identity, as the result of one fit.
     """
 
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
+    coefficients: tuple[float, float]
+    standard_errors: tuple[float, float]
     r2: float
     adj_r2: float
     f_statistic: float
     f_df: tuple[int, int]
-    residuals: np.ndarray
-    weights: np.ndarray
+    residuals: array
+    weights: array
     n: int
 
     @property
     def intercept(self) -> float:
-        return float(self.coefficients[0])
+        return self.coefficients[0]
 
     @property
     def slope(self) -> float:
-        return float(self.coefficients[1])
+        return self.coefficients[1]
 
     @cached_property
     def f_pvalue(self) -> float:
         """Upper tail of F(f_df) at f_statistic; 0.0 for a perfect fit."""
-        if math.isinf(self.f_statistic):
-            return 0.0
-        # F can fall below 0 only by rounding; p is then 1, as f.sf gives.
-        return float(_ufuncs().fdtrc(*self.f_df, max(self.f_statistic, 0.0)))
+        return _f_upper_tail(self.f_df[1], self.f_statistic)
 
 
 @dataclass(frozen=True)
@@ -119,26 +114,9 @@ class TrendFit:
     regression: RegressionResult
 
 
-@cache
-def _ufuncs():
-    """scipy.special._ufuncs without the package __init__: it is imported
-    under an unexecuted scipy.special module, which then leaves sys.modules
-    (so no other thread may import scipy.special meanwhile). A later
-    `import scipy.special` runs the __init__ and reuses these ufuncs."""
-    name = "scipy.special"
-    if name in sys.modules:
-        return importlib.import_module(name + "._ufuncs")
-    sys.modules[name] = importlib.util.module_from_spec(importlib.util.find_spec(name))
-    try:
-        return importlib.import_module(name + "._ufuncs")
-    finally:
-        del sys.modules[name]
-
-
-def _as_vector(v, name: str) -> np.ndarray:
-    import numpy as np
-    arr = np.asarray(v, dtype=float).ravel()
-    if arr.size and not np.all(np.isfinite(arr)):
+def _as_vector(v, name: str) -> array:
+    arr = array("d", v)
+    if not all(map(math.isfinite, arr)):
         raise StatsError(f"{name} contains non-finite values")
     return arr
 
@@ -150,62 +128,55 @@ def wls_fit(x, y, weights=None) -> RegressionResult:
     weights (plain OLS); all weights must be strictly positive. Multiplying
     every weight by the same positive constant leaves the result unchanged.
     """
-    import numpy as np
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = _as_vector(weights, "weights")
-    if not (x.size == y.size == w.size):
-        raise StatsError(f"length mismatch: x={x.size} y={y.size} weights={w.size}")
-    n = x.size
+    n = len(x)
+    w = array("d", [1.0]) * n if weights is None else _as_vector(weights, "weights")
+    if not (n == len(y) == len(w)):
+        raise StatsError(f"length mismatch: x={n} y={len(y)} weights={len(w)}")
     if n < 3:
         raise StatsError(f"need at least 3 observations, got {n}")
-    if np.any(w <= 0):
+    if min(w) <= 0:
         raise StatsError("weights must be strictly positive")
+    try:
+        return _wls_fit(x, y, w, n, weights is None)
+    except (OverflowError, ValueError) as exc:  # a sum past the float range
+        raise StatsError(f"weighted sums overflow a float ({exc})") from exc
 
-    wsum = w.sum()
-    xbar = float(np.dot(w, x) / wsum)
-    ybar = float(np.dot(w, y) / wsum)
-    xc = x - xbar
-    yc = y - ybar
-    sxx = float(np.dot(w, xc * xc))
-    if sxx <= np.finfo(float).eps * max(1.0, float(np.dot(w, x * x))):
+
+def _wls_fit(x: array, y: array, w: array, n: int, unit: bool) -> RegressionResult:
+    # Unit weights: each product w_i v_i is v_i, so the sums skip them.
+    weighted = (lambda v: v) if unit else partial(map, mul, w)
+    wsum = fsum(w)
+    xbar = fsum(weighted(x)) / wsum
+    ybar = fsum(weighted(y)) / wsum
+    xc = [v - xbar for v in x]
+    yc = [v - ybar for v in y]
+    sxx = fsum(map(mul, weighted(xc), xc))
+    if sxx <= _EPS * max(1.0, sxx + wsum * xbar * xbar):  # the sum is sum w x^2
         raise DegenerateDataError("predictor has no weighted variance")
 
-    slope = float(np.dot(w, xc * yc) / sxx)
+    slope = fsum(map(mul, weighted(xc), yc)) / sxx
     intercept = ybar - slope * xbar
-    residuals = y - intercept - slope * x
-    rss = float(np.dot(w, residuals * residuals))
-    tss = float(np.dot(w, yc * yc))
+    residuals = array("d", [v - intercept - slope * t for t, v in zip(x, y)])
+    rss = fsum(map(mul, weighted(residuals), residuals))
+    tss = fsum(map(mul, weighted(yc), yc))
 
     dof = n - 2
     sigma2 = rss / dof
     se_slope = math.sqrt(sigma2 / sxx)
     se_intercept = math.sqrt(sigma2 * (1.0 / wsum + xbar * xbar / sxx))
 
-    if tss > 0.0:
-        r2 = 1.0 - rss / tss
-    else:
-        r2 = 0.0  # constant response: no variance to explain
+    r2 = 1.0 - rss / tss if tss > 0.0 else 0.0  # a constant response has no variance to explain
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof
     f_stat = (tss - rss) / (rss / dof) if rss > 0.0 else math.inf
 
-    return RegressionResult(
-        coefficients=np.array([intercept, slope]),
-        standard_errors=np.array([se_intercept, se_slope]),
-        r2=r2,
-        adj_r2=adj_r2,
-        f_statistic=f_stat,
-        f_df=(1, dof),
-        residuals=residuals,
-        weights=w,
-        n=n,
-    )
+    return RegressionResult(coefficients=(intercept, slope), standard_errors=(se_intercept, se_slope),
+                            r2=r2, adj_r2=adj_r2, f_statistic=f_stat, f_df=(1, dof),
+                            residuals=residuals, weights=w, n=n)
 
 
-def feasible_weights(x, residuals) -> np.ndarray:
+def feasible_weights(x, residuals) -> array:
     """Two-stage feasible weights from preliminary OLS residuals.
 
     Regresses log(residual^2) on x and returns weights 1/exp(fitted),
@@ -213,33 +184,34 @@ def feasible_weights(x, residuals) -> np.ndarray:
     scale so exact zeros stay finite. Identical residuals give exactly
     constant weights.
     """
-    import numpy as np
     x = _as_vector(x, "x")
     e = _as_vector(residuals, "residuals")
-    if x.size != e.size:
-        raise StatsError(f"length mismatch: x={x.size} residuals={e.size}")
-    e2 = e * e
-    floor = np.finfo(float).eps * max(1.0, float(e2.max(initial=0.0)))
-    aux = wls_fit(x, np.log(np.maximum(e2, floor)))
-    fitted = aux.intercept + aux.slope * x
-    w = np.exp(-fitted)
-    return w / w.mean()
+    if len(x) != len(e):
+        raise StatsError(f"length mismatch: x={len(x)} residuals={len(e)}")
+    e2 = [v * v for v in e]
+    floor = _EPS * max(1.0, max(e2, default=0.0))
+    aux = wls_fit(x, [math.log(v if v > floor else floor) for v in e2])
+    a, b = aux.coefficients
+    try:
+        w = array("d", [math.exp(-(a + b * t)) for t in x])
+        mean = fsum(w) / len(w)
+    except OverflowError as exc:
+        raise StatsError("feasible weights overflow a float") from exc
+    return array("d", [v / mean for v in w])
 
 
 def durbin_watson(residuals) -> tuple[float, float]:
     """Durbin-Watson statistic D = sum(diff(e)^2) / sum(e^2), with a
     one-sided (positive autocorrelation) p-value from D ~ N(2, 4/n)."""
-    import numpy as np
     e = _as_vector(residuals, "residuals")
-    n = e.size
+    n = len(e)
     if n < 2:
         raise StatsError(f"need at least 2 residuals, got {n}")
-    denom = float(np.dot(e, e))
+    denom = fsum(map(mul, e, e))
     if denom == 0.0:
         raise DegenerateDataError("all residuals are zero")
-    d = float(np.sum(np.diff(e) ** 2) / denom)
-    p = float(_ufuncs().ndtr((d - 2.0) / (2.0 / math.sqrt(n))))
-    return d, p
+    d = fsum([(b - a) * (b - a) for a, b in zip(e, e[1:])]) / denom
+    return d, _normal_cdf((d - 2.0) / (2.0 / math.sqrt(n)))
 
 
 def breusch_pagan_studentized(x, residuals) -> tuple[float, float]:
@@ -250,13 +222,82 @@ def breusch_pagan_studentized(x, residuals) -> tuple[float, float]:
     """
     x = _as_vector(x, "x")
     e = _as_vector(residuals, "residuals")
-    if x.size != e.size:
-        raise StatsError(f"length mismatch: x={x.size} residuals={e.size}")
-    if x.size < 3:
-        raise StatsError(f"need at least 3 observations, got {x.size}")
-    aux = wls_fit(x, e * e)
+    if len(x) != len(e):
+        raise StatsError(f"length mismatch: x={len(x)} residuals={len(e)}")
+    if len(x) < 3:
+        raise StatsError(f"need at least 3 observations, got {len(x)}")
+    aux = wls_fit(x, map(mul, e, e))
     stat = aux.n * aux.r2
-    return float(stat), float(_ufuncs().chdtrc(1, max(stat, 0.0)))  # as chi2.sf below 0
+    return stat, _chi2_upper_tail(stat)
+
+
+def _normal_cdf(z: float) -> float:
+    """P(Z <= z) for a standard normal Z (scipy.special.ndtr)."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _chi2_upper_tail(x: float) -> float:
+    """P(X > x) for X ~ chi-square(1) (chdtrc(1, x)); x below 0 by rounding gives 1."""
+    return math.erfc(math.sqrt(max(x, 0.0) / 2.0))
+
+
+# Gamma(a + 1/2) / (Gamma(a) sqrt(a)) in powers of 1/a, lowest order first
+_GAMMA_HALF_RATIO = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
+                     869 / 4194304, 39325 / 33554432, -334477 / 2147483648)
+
+
+def _hyp_series(s: float, c: float, x: float) -> float:
+    """2F1(s, 1; c; x), the sum of the positive terms (s)_k / (c)_k x^k, 0 <= x < 1."""
+    term = total = 1.0
+    for k in count():
+        term *= (s + k) / (c + k) * x
+        total += term
+        if term <= 1e-17 * total:
+            return total
+
+
+def _bgrat(a: float, log_x: float) -> float:
+    """I_x(a, 1/2) Gamma(a) / Gamma(a + 1/2) for a >= 15, x >= 1/2: BGRAT of ACM
+    TOMS 708 (Didonato and Morris), Q(1/2, z) = erfc(sqrt(z)) plus a series in 1/nu^2."""
+    nu = a - 0.25
+    z = -nu * log_x
+    r = math.exp(-z) * math.sqrt(z / math.pi)  # z^b exp(-z) / Gamma(b)
+    j = total = math.erfc(math.sqrt(z))
+    v, t2 = 0.25 / (nu * nu), 0.25 * log_x * log_x
+    t, cn, c, d = 1.0, 1.0, [], []
+    for n in range(1, 31):
+        bp2n = 2.0 * n - 1.5
+        j = (bp2n * (bp2n + 1.0) * j + (z + bp2n + 1.0) * t * r) * v
+        t *= t2
+        cn /= 2.0 * n * (2.0 * n + 1.0)
+        c.append(cn)
+        d.append(-0.5 * cn + fsum((0.5 * i - n) * c[i - 1] * d[n - i - 1]
+                                  for i in range(1, n)) / n)
+        total += d[-1] * j
+        if abs(d[-1] * j) <= 1e-16 * total:
+            break
+    return total / math.sqrt(nu)
+
+
+def _f_upper_tail(dof: int, f: float) -> float:
+    """P(F > f) for F ~ F(1, dof) (fdtrc(1, dof, f)): the regularized incomplete
+    beta I_x(a, 1/2) at a = dof/2, x = dof/(dof + f), by series of positive
+    terms, or by _bgrat for a >= 15 near x = 1, where those converge slowly.
+    f below 0 by rounding gives 1, as f.sf does."""
+    if not 0.0 < f < math.inf:
+        return 1.0 if f <= 0.0 else 0.0
+    a = 0.5 * dof
+    x, y = dof / (dof + f), f / (dof + f)  # y = 1 - x
+    log_x = -math.log1p(f / dof)
+    ratio = (math.sqrt(a) * _poly(_GAMMA_HALF_RATIO, 1.0 / a) if a >= 20.0
+             else math.gamma(a + 0.5) / math.gamma(a))  # Gamma(a + 1/2) / Gamma(a)
+    if a >= 15.0 and x >= 0.5:
+        return _bgrat(a, log_x) * ratio
+    # x^a y^(1/2) / B(a, 1/2); I_x(a, b) = front 2F1(a + b, 1; a + 1; x) / a
+    front = math.exp(a * log_x + 0.5 * math.log(y)) * ratio / math.sqrt(math.pi)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _hyp_series(a + 0.5, a + 1.0, x) / a
+    return 1.0 - 2.0 * front * _hyp_series(a + 0.5, 1.5, y)  # 1 - I_y(1/2, a)
 
 
 def shapiro_wilk(sample) -> tuple[float, float]:
@@ -264,22 +305,20 @@ def shapiro_wilk(sample) -> tuple[float, float]:
 
     Above 5,000 values W stays accurate but p may not be; it warns, as
     scipy.stats.shapiro does."""
-    import numpy as np
     s = _as_vector(sample, "sample")
-    if s.size < 3:
-        raise StatsError(f"sample size must be at least 3, got {s.size}")
-    spread = float(s.max()) - float(s.min())
+    if len(s) < 3:
+        raise StatsError(f"sample size must be at least 3, got {len(s)}")
+    ordered = sorted(s)
+    spread = ordered[-1] - ordered[0]
     if spread == 0.0:
         raise DegenerateDataError("constant sample")
     if math.isinf(spread):
         raise StatsError("sample range overflows a float")
-    # Shift by an element near the median before scaling, as scipy does.
-    y = np.sort(s)
-    y -= s[s.size // 2]
-    if s.size > 5000:
+    shift = s[len(s) // 2]  # scipy shifts by an element near the median before scaling
+    if len(s) > 5000:
         warnings.warn(f"Shapiro-Wilk p-value may be inaccurate above 5000 values, "
-                      f"got {s.size}", stacklevel=2)
-    return _swilk(y.tolist())
+                      f"got {len(s)}", stacklevel=2)
+    return _swilk([v - shift for v in ordered])
 
 
 # AS R94 polynomial coefficients, lowest order first.
@@ -456,19 +495,19 @@ def exp_trend(series, weighting: str = "ols") -> TrendFit:
     counted in n_excluded. weighting is "ols" or "feasible_wls" (two-stage
     weights from feasible_weights).
     """
-    import numpy as np
     if weighting not in ("ols", "feasible_wls"):
         raise StatsError(f"unknown weighting {weighting!r}")
-    points = [(to_fractional_year(d), v) for d, v in series]
-    kept = [(t, v) for t, v in points if v > 0]
-    n_excluded = len(points) - len(kept)
-    if len(kept) < 3:
+    points = list(series)
+    dates = [d for d, v in points if v > 0]
+    n_excluded = len(points) - len(dates)
+    if len(dates) < 3:
         raise StatsError(
-            f"need at least 3 positive values, got {len(kept)} "
+            f"need at least 3 positive values, got {len(dates)} "
             f"({n_excluded} non-positive excluded)"
         )
-    x = np.array([t for t, _ in kept])
-    y = np.log([v for _, v in kept])
+    years = {d: to_fractional_year(d) for d in set(dates)}  # once per distinct date
+    x = array("d", [years[d] for d in dates])
+    y = array("d", [math.log(v) for _, v in points if v > 0])
 
     fit = wls_fit(x, y)
     if weighting == "feasible_wls":
@@ -484,7 +523,7 @@ def exp_trend(series, weighting: str = "ols") -> TrendFit:
         cagr_pct=100.0 * (growth - 1.0),
         doubling_time_years=doubling,
         weighting=weighting,
-        n_used=len(kept),
+        n_used=len(dates),
         n_excluded=n_excluded,
         regression=fit,
     )

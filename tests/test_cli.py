@@ -28,6 +28,14 @@ from mlca_trends.pipeline import (
 )
 from mlca_trends.stats import wls_fit
 from mlca_trends.systems import SYSTEM_COLUMNS
+from tests.test_stats import (
+    CHI2_NORMAL_BOUND,
+    F_TAIL_BOUND,
+    chi2_tail_exact,
+    durbin_watson_p_exact,
+    f_tail_exact,
+    tail_error,
+)
 
 REPORT_FILES = [
     "coverage.csv", "bridge.json", "estimates.csv",
@@ -145,17 +153,22 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "fit_bridge", recorded)
         run_pipeline(RunConfig(out=tmp_path / "out"))
         payload = json.loads((tmp_path / "out" / "bridge.json").read_text())
-        x = np.log([h2 for _, h2 in fitted])
-        fit = wls_fit(x, np.log([h1 for h1, _ in fitted]))
+        # The statistics are recomputed exactly; each p-value is checked
+        # against mpmath, within the bound its tail keeps.
+        x = [math.log(h2) for _, h2 in fitted]
+        fit = wls_fit(x, [math.log(h1) for h1, _ in fitted])
         e, n = fit.residuals, fit.n
         assert payload["model"]["f_statistic"] == fit.f_statistic
-        assert payload["model"]["f_pvalue"] == sps.f.sf(fit.f_statistic, 1, n - 2)
+        assert tail_error(payload["model"]["f_pvalue"], f_tail_exact(fit.f_statistic, n - 2)) \
+            <= F_TAIL_BOUND
         diagnostics = payload["diagnostics"]
         assert diagnostics["shapiro_wilk"] == list(sps.shapiro(e))
-        bp = n * wls_fit(x, e * e).r2
-        assert diagnostics["breusch_pagan_studentized"] == [bp, sps.chi2.sf(bp, 1)]
-        dw = np.sum(np.diff(e) ** 2) / np.dot(e, e)
-        assert diagnostics["durbin_watson"] == [dw, sps.norm.cdf((dw - 2.0) / (2.0 / math.sqrt(n)))]
+        bp, p = diagnostics["breusch_pagan_studentized"]
+        assert bp == n * wls_fit(x, [v * v for v in e]).r2
+        assert tail_error(p, chi2_tail_exact(bp)) <= CHI2_NORMAL_BOUND
+        dw, p = diagnostics["durbin_watson"]
+        assert dw == math.fsum((b - a) * (b - a) for a, b in zip(e, e[1:])) / math.fsum(v * v for v in e)
+        assert tail_error(p, durbin_watson_p_exact(dw, n)) <= CHI2_NORMAL_BOUND
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -201,63 +214,24 @@ class TestScipyOnDemand:
             ["bridge", "--out", str(tmp_path / "bridge")],
             ["report", "--scenario-ratio", "0.1", "--out", str(tmp_path / "report")],
         ]
-        codes, modules = _fresh_main(commands)
-        assert codes == [0, 0]
-        assert "scipy.special._ufuncs" in modules
-        # scipy.special's __init__ would load its array-API layer, and with it numpy.f2py.
-        unwanted = {"scipy.special._support_alternative_backends", "scipy._lib._array_api",
-                    "numpy.f2py"}
-        assert not unwanted & set(modules)
-        assert not [m for m in modules if m.split(".")[:2] == ["scipy", "stats"]]
-
-    @pytest.mark.parametrize("options", [[], ["-W", "error"]], ids=["default", "W-error"])
-    def test_tails_loaded_without_the_package_init_are_scipys(self, options):
-        script = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from mlca_trends import stats\n"
-            "ufuncs = stats._ufuncs()\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            "import scipy.special, scipy.stats\n"
-            "assert scipy.special._ufuncs is ufuncs\n"
-            "rng = np.random.default_rng(14)\n"
-            "d = rng.integers(1, 5000, 3000).astype(float)\n"
-            "f = np.concatenate([[0.0, 1e300], 10.0 ** rng.uniform(-12, 6, 2998)])\n"
-            "x = np.concatenate([[0.0], 10.0 ** rng.uniform(-12, 4, 2999)])\n"
-            "z = np.concatenate([[-40.0, 40.0], rng.normal(scale=10.0, size=2998)])\n"
-            "pairs = [(ufuncs.fdtrc(1, d, f), scipy.special.fdtrc(1, d, f)),\n"
-            "         (ufuncs.chdtrc(1, x), scipy.special.chdtrc(1, x)),\n"
-            "         (ufuncs.ndtr(z), scipy.special.ndtr(z))]\n"
-            "print([ours.tobytes() == theirs.tobytes() for ours, theirs in pairs])\n"
-        )
-        assert _fresh_python(script, "1", *options) == "[True, True, True]\n"
-
-    def test_tails_come_from_a_scipy_special_already_loaded(self):
-        script = (
-            "import sys, scipy.special\n"
-            "from mlca_trends import stats\n"
-            "print(stats._ufuncs() is scipy.special._ufuncs,\n"
-            "      sys.modules['scipy.special'] is scipy.special)\n"
-        )
-        assert _fresh_python(script, "1") == "True True\n"
+        assert _fresh_main(commands) == ([0, 0], [])
 
 
-def _fresh_python(script: str, blas_threads: str, *options: str) -> str:
-    """Stdout of a script run in a fresh interpreter with the given options,
-    src on PYTHONPATH and the caller's OPENBLAS_NUM_THREADS set to blas_threads."""
+def _fresh_python(script: str) -> str:
+    """Stdout of a script run in a fresh interpreter with src on PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
-    env.update(PYTHONPATH=str(_SRC), OPENBLAS_NUM_THREADS=blas_threads)
-    result = subprocess.run([sys.executable, *options, "-c", script], env=env,
+    env["PYTHONPATH"] = str(_SRC)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
-def _fresh_main_loads(commands: list[list[str]], module: str) -> list[tuple]:
+def _fresh_main_loads(commands: list[list[str]], *modules: str) -> list[tuple]:
     """Imports mlca_trends.cli, then runs main() over each argument list, in
     one fresh interpreter; returns, after the import and after each run, the
     exit code (None for the import, SystemExit's code where argparse exits)
-    and whether `module` is loaded."""
+    and whether any of `modules` is loaded."""
     script = (
         "import contextlib, io, json, sys\n"
         "from mlca_trends.cli import main\n"
@@ -266,13 +240,14 @@ def _fresh_main_loads(commands: list[list[str]], module: str) -> list[tuple]:
         "        return main(args)\n"
         "    except SystemExit as exc:  # --help, --version and usage errors\n"
         "        return exc.code\n"
-        f"steps = [[None, {module!r} in sys.modules]]\n"
+        f"loaded = lambda: any(m in sys.modules for m in {modules!r})\n"
+        "steps = [[None, loaded()]]\n"
         f"for args in json.loads({json.dumps(commands)!r}):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"        steps.append([run(args), {module!r} in sys.modules])\n"
+        "        steps.append([run(args), loaded()])\n"
         "print(json.dumps(steps))\n"
     )
-    return [tuple(step) for step in json.loads(_fresh_python(script, "1"))]
+    return [tuple(step) for step in json.loads(_fresh_python(script))]
 
 
 class TestNumpyOnDemand:
@@ -293,12 +268,15 @@ class TestNumpyOnDemand:
             (None, False), (0, False), (0, False), (0, False), (0, False), (2, False), (1, False)
         ]
 
-    @pytest.mark.parametrize("command", [["bridge"], ["estimate"], ["impacts"], ["trends"],
-                                         ["scenario", "--scenario-ratio", "0.1"], ["report"]],
+    @pytest.mark.parametrize("command", [["ingest"], ["coverage"], ["bridge"], ["estimate"],
+                                         ["impacts"], ["trends"],
+                                         ["scenario", "--scenario-ratio", "0.1"],
+                                         ["report", "--scenario-ratio", "0.1"]],
                              ids=lambda command: command[0])
-    def test_stages_that_compute_load_numpy(self, tmp_path, command):
-        steps = _fresh_main_loads([[*command, "--out", str(tmp_path / "out")]], "numpy")
-        assert steps == [(None, False), (0, True)]
+    def test_subcommand_loads_no_numpy_or_scipy(self, tmp_path, command):
+        # Importing any numpy or scipy module loads its top-level package.
+        steps = _fresh_main_loads([[*command, "--out", str(tmp_path / "out")]], "numpy", "scipy")
+        assert steps == [(None, False), (0, False)]
 
     def test_no_subcommand_loads_numpy_ma(self, tmp_path):
         commands = [[*command, "--out", str(tmp_path / command[0])]
@@ -335,42 +313,6 @@ class TestProcessEntry:
                 code = exc.code
             assert (result.returncode, result.stdout) == (code, capsys.readouterr().out)
             assert result.stderr.endswith("frozen True\n"), result.stderr
-
-
-class TestOneBlasThread:
-    """Importing the package pins OpenBLAS to one thread, whatever the caller set."""
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-    def test_import_starts_no_blas_worker_threads(self):
-        script = "import os, mlca_trends, scipy.special; print(len(os.listdir('/proc/self/task')))"
-        assert _fresh_python(script, "2") == "1\n"
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-    def test_numpy_first_loaded_by_a_stage_starts_no_blas_worker_threads(self, tmp_path):
-        script = (
-            "import contextlib, io, os, sys\n"
-            "from mlca_trends.cli import main\n"
-            "loaded = 'numpy' in sys.modules\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main(['bridge', '--out', {str(tmp_path / 'out')!r}])\n"
-            "print(loaded, code, len(os.listdir('/proc/self/task')))\n"
-        )
-        assert _fresh_python(script, "2") == "False 0 1\n"
-
-    def test_a_long_fit_is_the_same_whatever_thread_count_the_caller_set(self):
-        # Above 10,000 points a threaded dot sums its halves in another order.
-        script = (
-            "import datetime as dt\n"
-            "from mlca_trends.stats import exp_trend\n"
-            "import numpy as np  # after the package, which pins the threads first\n"
-            "rng = np.random.default_rng(20)\n"
-            "days = rng.integers(0, 9000, 20_000)\n"
-            "values = np.exp(0.3 * days / 365.25 + rng.normal(size=days.size))\n"
-            "fit = exp_trend([(dt.date(2000, 1, 1) + dt.timedelta(days=int(d)), float(v))\n"
-            "                 for d, v in zip(days, values)])\n"
-            "print(fit.slope_per_year.hex(), fit.intercept.hex())\n"
-        )
-        assert _fresh_python(script, "1") == _fresh_python(script, "2")
 
 
 class TestWarnings:

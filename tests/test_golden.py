@@ -3,9 +3,11 @@ that a refactor changing one output byte fails here.
 
 The runs are `report --scenario-ratio 0.1` on the bundled data and on the
 1k-row synthetic table of `test_acceptance._write_big_dataset` (seed 404), and
-each stage subcommand on the bundled data. The digests hold for the numpy and
-scipy versions recorded beside them; under other versions the test skips,
-because fits and the synthetic table may differ in their last digits.
+each stage subcommand on the bundled data. The digests hold for the numpy
+version recorded beside them, which draws the synthetic table; under another
+version the tests skip. The program itself uses no numpy, and every sum in
+its fits is exactly rounded, so no BLAS kernel or core count reaches them;
+one test recomputes them with glibc's FMA code paths masked off.
 
 Regenerate the file only for a deliberate output change, and say so in
 CHANGES.md:
@@ -20,21 +22,24 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from mlca_trends.cli import main
 from tests.test_acceptance import _write_big_dataset
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _versions() -> dict[str, str]:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def compute_digests(workdir: Path) -> dict[str, dict[str, str]]:
@@ -68,12 +73,45 @@ def changed_digests(old: dict, new: dict) -> list[str]:
             if old.get(run, {}).get(name) != new.get(run, {}).get(name)]
 
 
-def test_outputs_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
+def _golden() -> dict:
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     if golden["versions"] != _versions():
         pytest.skip(f"digests made with {golden['versions']}, installed {_versions()}")
-    assert compute_digests(tmp_path) == golden["runs"]
+    return golden["runs"]
+
+
+def test_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
+    assert compute_digests(tmp_path) == _golden()
+
+
+# glibc picks FMA builds of exp, log, erfc and pow where the CPU has FMA, and
+# they round some arguments otherwise: exp of this one ends in ...dad with FMA
+# and in ...dae without.
+_NO_FMA = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"
+_CANARY = "math.exp(111.95129931589179).hex() == '0x1.6cf519801fdaep+161'"
+
+
+def test_digests_hold_with_glibc_fma_paths_masked(tmp_path):
+    golden = _golden()
+    script = (
+        "import json, math, sys\n"
+        "from pathlib import Path\n"
+        f"if not {_CANARY}:\n"
+        "    print('null')\n"
+        "    sys.exit()\n"
+        "from tests.test_golden import compute_digests\n"
+        "print(json.dumps(compute_digests(Path(sys.argv[1]))))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
+    env.update(GLIBC_TUNABLES=_NO_FMA, PYTHONPATH=os.pathsep.join([str(ROOT), str(ROOT / "src")]))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    digests = json.loads(result.stdout)
+    if digests is None:
+        pytest.skip(f"GLIBC_TUNABLES={_NO_FMA} left glibc's FMA exp in use (the canary did not move)")
+    assert digests == golden
 
 
 def test_changed_digests_names_each_changed_added_and_removed_file():

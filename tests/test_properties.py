@@ -2,7 +2,7 @@
 min <= reference <= max, embodied impacts never exceed totals, and a larger
 carbon-intensity reduction ratio never raises a footprint nor takes it below
 its embodied part. The series files' memoized date cells equal the cells
-formatted afresh."""
+formatted afresh. A fit does not depend on the order of its points."""
 
 import datetime as dt
 
@@ -25,7 +25,7 @@ from mlca_trends.lca import (
     system_impact,
 )
 from mlca_trends.pipeline import _date_cells, default_data_path
-from mlca_trends.stats import to_fractional_year
+from mlca_trends.stats import exp_trend, to_fractional_year, wls_fit
 from mlca_trends.systems import SystemRecord
 from tests.conftest import make_card
 
@@ -199,3 +199,40 @@ def test_memoized_date_cells_equal_fresh_ones(date):
     fresh = (date.isoformat(), format_cell(round(to_fractional_year(date), 6)))
     assert _date_cells(date) == fresh
     assert _date_cells(dt.date.fromordinal(date.toordinal())) == fresh  # a memo hit
+
+
+@st.composite
+def shuffled_points(draw):
+    """(date, value, weight) points on 3 to 80 distinct dates, and a shuffle of them."""
+    days = draw(st.lists(st.integers(0, 12_000), min_size=3, max_size=80, unique=True))
+    points = [(dt.date(1995, 1, 1) + dt.timedelta(days=day),
+               draw(st.floats(1e-6, 1e12)), draw(st.floats(1e-3, 1e3))) for day in days]
+    return points, draw(st.permutations(points))
+
+
+def _fit_floats(fit, points) -> tuple:
+    """Every float of a wls_fit, its residuals keyed by their point."""
+    residuals = sorted(zip(points, fit.residuals, fit.weights))
+    return (*fit.coefficients, *fit.standard_errors, fit.r2, fit.adj_r2, fit.f_statistic,
+            fit.f_pvalue, residuals)
+
+
+def _trend_floats(trend) -> tuple:
+    return (trend.slope_per_year, trend.intercept, trend.growth_factor, trend.cagr_pct,
+            trend.doubling_time_years, *trend.regression.coefficients)
+
+
+@PROPERTY
+@given(shuffled_points())
+def test_fits_are_bit_identical_whatever_the_order_of_the_points(case):
+    results = []
+    for points in case:
+        x = [to_fractional_year(date) for date, _, _ in points]
+        y = [value for _, value, _ in points]
+        results.append((
+            _fit_floats(wls_fit(x, y), points),
+            _fit_floats(wls_fit(x, y, [weight for _, _, weight in points]), points),
+            *(_trend_floats(exp_trend([(date, value) for date, value, _ in points], weighting))
+              for weighting in ("ols", "feasible_wls")),
+        ))
+    assert results[0] == results[1]
