@@ -26,7 +26,6 @@ from .estimation import (  # noqa: F401
     estimate_gpu_hours,
     fit_bridge,
     gpu_hours_direct,
-    gpu_hours_from_flop,
 )
 from .intervals import EstimateInterval  # noqa: F401
 from .lca import (  # noqa: F401
@@ -44,7 +43,6 @@ from .lca import (  # noqa: F401
     usage_impact,
 )
 from .stats import (  # noqa: F401
-    DiagnosticReport,
     RegressionResult,
     TrendFit,
     breusch_pagan_studentized,

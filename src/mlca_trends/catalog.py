@@ -296,10 +296,9 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
         if key not in index_a:
             merged.append(card_b)
 
-    known = {card.normalized_name for card in merged}
     merged_by_key = {card.normalized_name: i for i, card in enumerate(merged)}
     for (key, field), value in overrides.items():
-        if key not in known:
+        if key not in merged_by_key:
             raise CatalogError(f"override table references unknown card name {key!r}")
         i = merged_by_key[key]
         if getattr(merged[i], field) != value:

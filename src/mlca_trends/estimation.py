@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .catalog import CardReference, CardSpec
-from .errors import DegenerateDataError, EstimationError, MissingPeakError
+from .errors import EstimationError, MissingPeakError
 from .intervals import EstimateInterval
-from .stats import DiagnosticReport, RegressionResult, diagnostics, median, wls_fit
+from .stats import RegressionResult, median, wls_fit
 
 __all__ = [
     "PEAK_FIELDS",
@@ -27,7 +26,6 @@ __all__ = [
     "best_peak",
     "flop_hours",
     "gpu_hours_direct",
-    "gpu_hours_from_flop",
     "detect_anomalies",
     "fit_bridge",
     "estimate_gpu_hours",
@@ -60,40 +58,24 @@ class GpuHoursEstimate:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BridgeModel:
     """OLS of log(direct GPU-h) on log(compute-based GPU-h), natural logs.
-    The F-test p-value and the diagnostics are computed from `fit` when read."""
+    The coefficients and fit statistics are those of `fit`; compared by
+    identity, as `fit` is."""
 
-    intercept: float
-    slope: float
-    intercept_se: float
-    slope_se: float
-    adj_r2: float
-    f_statistic: float
-    f_df: tuple[int, int]
-    n_observations: int
-    performance_ratio: float  # exp(-intercept); ~fraction of peak achieved
-    fit: RegressionResult = field(repr=False, compare=False)
-    log_flop_hours: array = field(repr=False, compare=False)  # the fit's x
+    fit: RegressionResult
+    log_flop_hours: array = field(repr=False)  # the fit's x
 
     @property
-    def f_pvalue(self) -> float:
-        return self.fit.f_pvalue
-
-    @cached_property
-    def diagnostics(self) -> DiagnosticReport | None:
-        """Residual diagnostics; None when the residuals carry too little
-        variation to test (a numerically perfect fit)."""
-        try:
-            return diagnostics(self.log_flop_hours, self.fit.residuals)
-        except DegenerateDataError:
-            return None
+    def performance_ratio(self) -> float:
+        """exp(-intercept); ~fraction of peak throughput achieved."""
+        return math.exp(-self.fit.intercept)
 
     def apply(self, flop_hours: float) -> float:
         """Calibrated GPU-hours: exp(a) * h^b, or inf past the float range."""
         try:
-            return math.exp(self.intercept) * flop_hours**self.slope
+            return math.exp(self.fit.intercept) * flop_hours**self.fit.slope
         except OverflowError:
             return math.inf
 
@@ -116,7 +98,11 @@ def best_peak(card: CardSpec) -> float:
 
 
 def flop_hours(flop: float, card: CardSpec) -> float:
-    """gpu_hours_from_flop's value, with its checks, and no record built."""
+    """FLOP / (best peak x 3600) for one specific card.
+
+    Underestimates real GPU-hours since hardware does not run at peak; the
+    bridge regression corrects for that on average.
+    """
     if flop <= 0:
         raise EstimationError(f"FLOP count must be > 0, got {flop}")
     return _checked_hours(flop / (best_peak(card) * _SECONDS_PER_HOUR), "compute-based")
@@ -130,21 +116,6 @@ def gpu_hours_direct(duration_hours: float, quantity: int) -> GpuHoursEstimate:
         raise EstimationError(f"hardware quantity must be >= 1, got {quantity}")
     value = _checked_hours(duration_hours * quantity, "direct")
     return GpuHoursEstimate(value=value, method="direct", interval=EstimateInterval.degenerate(value))
-
-
-def gpu_hours_from_flop(flop: float, card: CardSpec) -> GpuHoursEstimate:
-    """FLOP / (best peak x 3600) for one specific card.
-
-    Underestimates real GPU-hours since hardware does not run at peak; the
-    bridge regression corrects for that on average.
-    """
-    value = flop_hours(flop, card)
-    return GpuHoursEstimate(
-        value=value,
-        method="flop_based",
-        interval=EstimateInterval.degenerate(value),
-        per_card=((card.name, value),),
-    )
 
 
 def detect_anomalies(pairs, k: float = 3.0):
@@ -199,20 +170,7 @@ def fit_bridge(clean_pairs) -> BridgeModel:
     if any(h1 <= 0 or h2 <= 0 for h1, h2 in pairs):
         raise EstimationError("all GPU-hour pairs must be positive")
     x = array("d", [math.log(h2) for _, h2 in pairs])
-    fit = wls_fit(x, [math.log(h1) for h1, _ in pairs])
-    return BridgeModel(
-        intercept=fit.intercept,
-        slope=fit.slope,
-        intercept_se=fit.standard_errors[0],
-        slope_se=fit.standard_errors[1],
-        adj_r2=fit.adj_r2,
-        f_statistic=fit.f_statistic,
-        f_df=fit.f_df,
-        n_observations=fit.n,
-        performance_ratio=math.exp(-fit.intercept),
-        fit=fit,
-        log_flop_hours=x,
-    )
+    return BridgeModel(wls_fit(x, [math.log(h1) for h1, _ in pairs]), x)
 
 
 def estimate_gpu_hours(

@@ -74,7 +74,7 @@ from .lca import (
     scenario_gwp,
     system_impact,
 )
-from .stats import TrendFit, exp_trend, to_fractional_year
+from .stats import TrendFit, diagnostics, exp_trend, to_fractional_year
 from .systems import (
     COVERAGE_METRICS,
     SYSTEM_COLUMNS,
@@ -493,22 +493,17 @@ def _merge_report_payload(report: MergeReport) -> dict:
     }
 
 
-_BRIDGE_MODEL_KEYS = ("intercept", "slope", "intercept_se", "slope_se", "adj_r2", "f_statistic",
-                      "f_df", "f_pvalue", "n_observations", "performance_ratio")
-
-
 def _bridge_payload(bridge: BridgeModel | None, counts: dict) -> dict:
+    fit = None if bridge is None else bridge.fit
     return {
-        "model": None if bridge is None else {
-            **{k: getattr(bridge, k) for k in _BRIDGE_MODEL_KEYS}, "log_base": "natural"
+        "model": None if fit is None else {
+            "intercept": fit.intercept, "slope": fit.slope,
+            "intercept_se": fit.standard_errors[0], "slope_se": fit.standard_errors[1],
+            "adj_r2": fit.adj_r2, "f_statistic": fit.f_statistic, "f_df": fit.f_df,
+            "f_pvalue": fit.f_pvalue, "n_observations": fit.n,
+            "performance_ratio": bridge.performance_ratio, "log_base": "natural",
         },
-        "diagnostics": None
-        if bridge is None or bridge.diagnostics is None
-        else {
-            "shapiro_wilk": list(bridge.diagnostics.shapiro_wilk),
-            "breusch_pagan_studentized": list(bridge.diagnostics.breusch_pagan),
-            "durbin_watson": list(bridge.diagnostics.durbin_watson),
-        },
+        "diagnostics": None if fit is None else diagnostics(bridge.log_flop_hours, fit.residuals),
         "counts": counts,
         "anomaly_rule": "finetuned OR |log-ratio - median| > 3*MAD",
     }

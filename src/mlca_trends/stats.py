@@ -40,7 +40,6 @@ _EPS = 2.0**-52  # float64 machine epsilon
 
 __all__ = [
     "RegressionResult",
-    "DiagnosticReport",
     "TrendFit",
     "wls_fit",
     "feasible_weights",
@@ -85,15 +84,6 @@ class RegressionResult:
     def f_pvalue(self) -> float:
         """Upper tail of F(f_df) at f_statistic; 0.0 for a perfect fit."""
         return _f_upper_tail(self.f_df[1], self.f_statistic)
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    """Residual diagnostics (statistic, p-value) triple for one fit."""
-
-    shapiro_wilk: tuple[float, float]
-    breusch_pagan: tuple[float, float]
-    durbin_watson: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -464,13 +454,17 @@ def _swilk(x: list[float]) -> tuple[float, float]:
     return w, _normal_upper_tail((y - mean) / sd)
 
 
-def diagnostics(x, residuals) -> DiagnosticReport:
-    """All three residual diagnostics for a fitted simple regression."""
-    return DiagnosticReport(
-        shapiro_wilk=shapiro_wilk(residuals),
-        breusch_pagan=breusch_pagan_studentized(x, residuals),
-        durbin_watson=durbin_watson(residuals),
-    )
+def diagnostics(x, residuals) -> dict | None:
+    """The three residual tests of a simple regression, each [statistic,
+    p-value]; None when the residuals vary too little to test."""
+    try:
+        return {
+            "shapiro_wilk": list(shapiro_wilk(residuals)),
+            "breusch_pagan_studentized": list(breusch_pagan_studentized(x, residuals)),
+            "durbin_watson": list(durbin_watson(residuals)),
+        }
+    except DegenerateDataError:
+        return None
 
 
 def to_fractional_year(when) -> float:
@@ -514,7 +508,10 @@ def exp_trend(series, weighting: str = "ols") -> TrendFit:
         fit = wls_fit(x, y, feasible_weights(x, fit.residuals))
 
     slope = fit.slope
-    growth = math.exp(slope)
+    try:
+        growth = math.exp(slope)
+    except OverflowError:
+        raise StatsError(f"growth factor exp({slope:.4g}) per year is past the float range") from None
     doubling = math.log(2.0) / slope if slope > 0 else math.nan
     return TrendFit(
         slope_per_year=slope,

@@ -62,14 +62,14 @@ def test_criterion_01_bridge_regression_recovery():
     misses = 0
     intercepts, slopes, int_ses, slope_ses = [], [], [], []
     for seed in range(100):
-        model = fit_bridge(synthetic_bridge_pairs(seed))
-        intercepts.append(model.intercept)
-        slopes.append(model.slope)
-        int_ses.append(model.intercept_se)
-        slope_ses.append(model.slope_se)
+        fit = fit_bridge(synthetic_bridge_pairs(seed)).fit
+        intercepts.append(fit.intercept)
+        slopes.append(fit.slope)
+        int_ses.append(fit.standard_errors[0])
+        slope_ses.append(fit.standard_errors[1])
         if (
-            abs(model.intercept - 1.31) > 3 * model.intercept_se
-            or abs(model.slope - 1.00) > 3 * model.slope_se
+            abs(fit.intercept - 1.31) > 3 * fit.standard_errors[0]
+            or abs(fit.slope - 1.00) > 3 * fit.standard_errors[1]
         ):
             misses += 1
     elapsed = time.perf_counter() - start
@@ -93,7 +93,7 @@ def test_criterion_02_performance_ratio_identity():
     h2 = np.geomspace(1.0, 1e6, 24)
     fits.append(fit_bridge(list(zip(math.e**1.31 * h2, h2))))
     for model in fits:
-        assert model.performance_ratio == math.exp(-model.intercept)
+        assert model.performance_ratio == math.exp(-model.fit.intercept)
     fixture = fits[0]
     assert 0.25 <= fixture.performance_ratio <= 0.30
     _report(

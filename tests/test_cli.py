@@ -174,49 +174,6 @@ class TestRunPipeline:
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_main(commands: list[list[str]]) -> tuple[list[int], list[str]]:
-    """Runs main() over each argument list in a fresh interpreter with src on
-    PYTHONPATH; returns the exit codes and the scipy and numpy.f2py modules
-    then loaded."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from mlca_trends.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(args) for args in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-        "                                if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py'))]))\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
-    env["PYTHONPATH"] = str(_SRC)
-    result = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return tuple(json.loads(result.stdout))
-
-
-class TestScipyOnDemand:
-    def test_import_loads_no_scipy(self):
-        assert _fresh_main([]) == ([], [])
-
-    def test_stage_subcommands_but_bridge_load_no_scipy_stats(self, tmp_path):
-        commands = [
-            [command, "--out", str(tmp_path / command)]
-            for command in ("ingest", "coverage", "estimate", "impacts", "trends")
-        ] + [["scenario", "--scenario-ratio", "0.1", "--out", str(tmp_path / "scenario")]]
-        codes, modules = _fresh_main(commands)
-        assert codes == [0] * len(commands)
-        assert "scipy.stats" not in modules
-
-    def test_bridge_and_report_load_no_scipy_stats(self, tmp_path):
-        commands = [
-            ["bridge", "--out", str(tmp_path / "bridge")],
-            ["report", "--scenario-ratio", "0.1", "--out", str(tmp_path / "report")],
-        ]
-        assert _fresh_main(commands) == ([0, 0], [])
-
-
 def _fresh_python(script: str) -> str:
     """Stdout of a script run in a fresh interpreter with src on PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if k != "MLCA_TRENDS_CONFIG"}
@@ -277,13 +234,6 @@ class TestNumpyOnDemand:
         # Importing any numpy or scipy module loads its top-level package.
         steps = _fresh_main_loads([[*command, "--out", str(tmp_path / "out")]], "numpy", "scipy")
         assert steps == [(None, False), (0, False)]
-
-    def test_no_subcommand_loads_numpy_ma(self, tmp_path):
-        commands = [[*command, "--out", str(tmp_path / command[0])]
-                    for command in (["ingest"], ["coverage"], ["bridge"], ["estimate"],
-                                    ["impacts"], ["trends"], ["scenario", "--scenario-ratio", "0.1"],
-                                    ["report", "--scenario-ratio", "0.1"])]
-        assert _fresh_main_loads(commands, "numpy.ma") == [(None, False)] + [(0, False)] * 8
 
 
 class TestProcessEntry:

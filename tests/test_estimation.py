@@ -11,9 +11,10 @@ from mlca_trends.estimation import (
     detect_anomalies,
     estimate_gpu_hours,
     fit_bridge,
+    flop_hours,
     gpu_hours_direct,
-    gpu_hours_from_flop,
 )
+from mlca_trends.stats import diagnostics
 from mlca_trends.systems import SystemRecord
 from tests.conftest import make_card
 
@@ -48,41 +49,38 @@ class TestDirect:
 class TestFromFlop:
     def test_hand_arithmetic(self):
         card = make_card(peak_fp32=1e14, peak_fp16=None, peak_tensor=None)
-        est = gpu_hours_from_flop(1e21, card)
         # 1e21 / (1e14 * 3600) = 2777.77...
-        assert est.value == pytest.approx(2777.7777777778, rel=1e-10)
-        assert est.method == "flop_based"
+        assert flop_hours(1e21, card) == pytest.approx(2777.7777777778, rel=1e-10)
 
     def test_best_peak_prefers_tensor(self):
         card = make_card(peak_fp32=1e14, peak_tensor=4e14)
-        est = gpu_hours_from_flop(1e21, card)
-        assert est.value == pytest.approx(694.4444444444, rel=1e-10)
+        assert flop_hours(1e21, card) == pytest.approx(694.4444444444, rel=1e-10)
 
     def test_fp64_never_used(self):
         card = make_card(peak_fp32=None, peak_fp16=None, peak_tensor=None, peak_fp64=1e14)
         with pytest.raises(MissingPeakError):
             best_peak(card)
         with pytest.raises(MissingPeakError):
-            gpu_hours_from_flop(1e21, card)
+            flop_hours(1e21, card)
 
     def test_antitone_in_peak_and_linear_in_flop(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             p1, p2 = sorted(rng.uniform(1e13, 1e15, 2))
             flop = rng.uniform(1e20, 1e24)
-            slow = gpu_hours_from_flop(flop, make_card(peak_fp32=p1)).value
-            fast = gpu_hours_from_flop(flop, make_card(peak_fp32=p2)).value
+            slow = flop_hours(flop, make_card(peak_fp32=p1))
+            fast = flop_hours(flop, make_card(peak_fp32=p2))
             assert fast <= slow
-            doubled = gpu_hours_from_flop(2 * flop, make_card(peak_fp32=p1)).value
+            doubled = flop_hours(2 * flop, make_card(peak_fp32=p1))
             assert doubled == pytest.approx(2 * slow, rel=1e-12)
 
     def test_non_positive_flop_rejected(self):
         with pytest.raises(EstimationError):
-            gpu_hours_from_flop(0.0, make_card())
+            flop_hours(0.0, make_card())
 
     def test_hours_that_underflow_to_zero_rejected(self):
         with pytest.raises(EstimationError, match="finite"):
-            gpu_hours_from_flop(1e-320, make_card())
+            flop_hours(1e-320, make_card())
 
 
 class TestAnomalies:
@@ -147,9 +145,9 @@ class TestBridge:
         h2 = np.geomspace(1.0, 1e6, 24)
         pairs = list(zip(math.e**1.31 * h2, h2))
         model = fit_bridge(pairs)
-        assert model.intercept == pytest.approx(1.31, abs=1e-9)
-        assert model.slope == pytest.approx(1.00, abs=1e-12)
-        assert model.adj_r2 == pytest.approx(1.0, abs=1e-12)
+        assert model.fit.intercept == pytest.approx(1.31, abs=1e-9)
+        assert model.fit.slope == pytest.approx(1.00, abs=1e-12)
+        assert model.fit.adj_r2 == pytest.approx(1.0, abs=1e-12)
         assert model.performance_ratio == pytest.approx(math.exp(-1.31), rel=1e-9)
 
     def test_performance_ratio_identity(self):
@@ -157,7 +155,7 @@ class TestBridge:
         x = rng.uniform(0, 10, 30)
         pairs = list(zip(np.exp(1.0 + 0.9 * x + rng.normal(0, 0.3, 30)), np.exp(x)))
         model = fit_bridge(pairs)
-        assert model.performance_ratio == math.exp(-model.intercept)
+        assert model.performance_ratio == math.exp(-model.fit.intercept)
 
     def test_recovery_within_3se_over_seeds(self):
         misses = 0
@@ -166,8 +164,8 @@ class TestBridge:
             x = rng.uniform(2.0, 14.0, 87)
             y = 1.31 + 1.00 * x + rng.normal(0, 0.15, 87)
             model = fit_bridge(list(zip(np.exp(y), np.exp(x))))
-            ta = abs(model.intercept - 1.31) / model.intercept_se
-            tb = abs(model.slope - 1.00) / model.slope_se
+            ta = abs(model.fit.intercept - 1.31) / model.fit.standard_errors[0]
+            tb = abs(model.fit.slope - 1.00) / model.fit.standard_errors[1]
             misses += (ta > 3) or (tb > 3)
         # 3 SE is ~99.3% coverage per seed; a few misses in 100 is nominal
         assert misses <= 3
@@ -177,10 +175,11 @@ class TestBridge:
         x = rng.uniform(0, 8, 50)
         pairs = list(zip(np.exp(1.3 + x + rng.normal(0, 0.2, 50)), np.exp(x)))
         model = fit_bridge(pairs)
-        assert model.diagnostics is not None
-        w, p = model.diagnostics.shapiro_wilk
+        report = diagnostics(model.log_flop_hours, model.fit.residuals)
+        assert report is not None
+        w, p = report["shapiro_wilk"]
         assert 0 < w <= 1 and 0 <= p <= 1
-        d, _ = model.diagnostics.durbin_watson
+        d, _ = report["durbin_watson"]
         assert 0 <= d <= 4
 
     def test_preconditions(self):

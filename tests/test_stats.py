@@ -226,6 +226,12 @@ class TestBreuschPagan:
             breusch_pagan_studentized(np.ones(10), np.random.default_rng(0).normal(size=10))
 
 
+def test_diagnostics_are_none_when_the_residuals_do_not_vary():
+    assert stats.diagnostics([1.0, 2.0, 3.0, 4.0], [0.0] * 4) is None
+    report = stats.diagnostics([1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 1.0, -0.5])
+    assert list(report) == ["shapiro_wilk", "breusch_pagan_studentized", "durbin_watson"]
+
+
 class TestShapiroWilk:
     def test_exact_normal_quantiles_score_high(self):
         from scipy.stats import norm
@@ -473,6 +479,12 @@ class TestExpTrend:
     def test_too_few_positive_values(self):
         with pytest.raises(StatsError):
             exp_trend([(dt.date(2020, 1, 1), 1.0), (dt.date(2021, 1, 1), -1.0)])
+
+    def test_growth_factor_past_the_float_range_is_a_stats_error(self):
+        series = [(dt.date(2020, 1, 1), 1e-300), (dt.date(2020, 1, 2), 1e300),
+                  (dt.date(2020, 1, 4), 1e300)]
+        with pytest.raises(StatsError, match="float range"):
+            exp_trend(series)
 
     def test_feasible_wls_equals_ols_on_exact_data(self):
         series = [(dt.date(2019 + k, 1, 1), 3.0 * 1.5**k) for k in range(5)]
