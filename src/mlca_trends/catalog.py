@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import CatalogError, UnresolvedCardError
-from .inputs import parse_date, parse_number, positions, read_csv, read_json
+from .inputs import csv_line, parse_date, parse_number, positions, read_csv, read_json
 
 __all__ = [
     "CARD_COLUMNS",
@@ -201,9 +201,10 @@ def parse_card_table(path, source: str) -> tuple[list[CardSpec], list[RowError]]
 
 
 def card_rows(cards):
-    """Cards as rows of CARD_COLUMNS cells, which parse back to the same cards."""
+    """Cards as CSV lines of CARD_COLUMNS cells, which parse back to the same cards."""
     return (
-        ["" if getattr(card, col) is None else str(getattr(card, col)) for col in CARD_COLUMNS]
+        csv_line(["" if getattr(card, col) is None else str(getattr(card, col))
+                  for col in CARD_COLUMNS])
         for card in cards
     )
 

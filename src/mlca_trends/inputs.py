@@ -1,10 +1,10 @@
 """Reading input files: the path check, the UTF-8 decode (a leading byte-order
 mark is dropped), the parse and the header check of every CSV and JSON input.
 A malformed file raises the caller's stage error naming the file; the cell
-parsers raise ValueError. The one CSV writer and cell formatter live here too,
-so tables round-trip through one module. A row read is a list of cells in
-header order; a row written is written as given, so its float cells come
-formatted by format_cell (csv writes None, int, bool and date as it would)."""
+parsers raise ValueError. The one CSV writer, cell formatter and quoting rule
+live here too, so tables round-trip through one module. A row read is a list
+of cells in header order; a row written is one finished line, from csv_line
+or an f-string of format_cell floats and quote_cell text."""
 
 from __future__ import annotations
 
@@ -115,10 +115,22 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a UTF-8 CSV table: the header, then the rows as they are. A float
-    cell must come formatted by format_cell (csv would write its repr)."""
+def quote_cell(cell: str) -> str:
+    """A text cell, in double quotes with each " doubled if it holds `,`, `"`,
+    CR or LF: the csv module's minimal quoting in a row of two or more cells."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def csv_line(cells) -> str:
+    """A row's cells, each through format_cell and quote_cell, as one line."""
+    return ",".join([quote_cell(format_cell(cell)) for cell in cells])
+
+
+def write_csv(path, header, lines) -> None:
+    """Write a UTF-8 CSV table: the header, then each finished line, CR LF after each."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(csv_line(header) + "\r\n")
+        for line in lines:
+            handle.write(line + "\r\n")

@@ -172,6 +172,8 @@ class LcaConstants:
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
+        if not self.amortizable_hours > 0:  # say, a subnormal lifespan_hours
+            raise ValueError("lifespan_hours * avg_lifetime_utilization rounds to 0")
 
     @property
     def amortizable_hours(self) -> float:

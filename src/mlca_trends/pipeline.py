@@ -61,7 +61,8 @@ from .estimation import (
     flop_hours,
     gpu_hours_direct,
 )
-from .inputs import format_cell, write_csv as _write_csv  # the name clibench's tracer wraps
+from .inputs import csv_line, format_cell, quote_cell
+from .inputs import write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
     ImpactVector,
     SystemImpact,
@@ -284,23 +285,12 @@ def impact_stage(bundle: Bundle, estimate_rows):
     card_constants = {}
     for system, card_ref, estimate in estimate_rows:
         if card_ref is None:
-            skipped.append(
-                (system.name, "no resolvable hardware; impacts need a specific card")
-            )
+            skipped.append((system.name, "no resolvable hardware; impacts need a specific card"))
             continue
         try:
-            impacts.append(
-                system_impact(
-                    system,
-                    estimate,
-                    card_ref,
-                    bundle.mixes,
-                    bundle.server_profiles,
-                    bundle.factors,
-                    bundle.constants,
-                    card_constants,
-                )
-            )
+            impacts.append(system_impact(system, estimate, card_ref, bundle.mixes,
+                                         bundle.server_profiles, bundle.factors,
+                                         bundle.constants, card_constants))
         except (CannotEstimateError, UnknownCountryError, ValueError) as exc:
             # ValueError: a footprint overflowed to inf, which impacts reject
             skipped.append((system.name, str(exc)))
@@ -510,34 +500,40 @@ def _bridge_payload(bridge: BridgeModel | None, counts: dict) -> dict:
 
 
 @cache
-def _date_cells(date) -> tuple[str, str]:
-    """A point row's date and fractional-year cells, formatted once per date."""
-    return date.isoformat(), format_cell(round(to_fractional_year(date), 6))
+def _date_cells(date) -> str:
+    """A point row's date and fractional-year cells, joined once per date."""
+    return f"{date.isoformat()},{format_cell(round(to_fractional_year(date), 6))}"
 
 
 # The TrendFit fields of a trend row, after which comes its excluded count
 _FIT_COLUMNS = ("slope_per_year", "intercept", "growth_factor", "cagr_pct",
                 "doubling_time_years", "weighting", "n_used")
-_BLANK_FIT = ("",) * (len(_FIT_COLUMNS) + 1)  # a point row's fit and excluded cells
+_BLANK_FIT = "," * (len(_FIT_COLUMNS) + 1)  # a point row's blank fit and excluded cells
 
 
 def _point_rows(series: Series):
-    """A row per point; a filtered series adds its labels and included flags."""
-    name = series.name
+    """A line per point; a filtered series adds its labels and included flags."""
+    name = quote_cell(series.name)
     if series.included is None:
-        return ([name, "point", "", *_date_cells(d), format_cell(v), *_BLANK_FIT]
+        return (f"{name},point,,{_date_cells(d)},{format_cell(v)}{_BLANK_FIT}"
                 for d, v in series.points)
-    return ([name, "point", label, *_date_cells(d), format_cell(v), "true" if kept else "false",
-             *_BLANK_FIT]
+    return (f"{name},point,{quote_cell(label)},{_date_cells(d)},{format_cell(v)},"
+            f"{'true' if kept else 'false'}{_BLANK_FIT}"
             for label, (d, v), kept in zip(series.labels, series.points, series.included))
 
 
-def _trend_row(series: Series) -> list:
-    """The trend row of a series: blank fit cells when it has no fit."""
+def _trend_row(series: Series) -> str:
+    """The trend line of a series: blank fit cells when it has no fit."""
     included = () if series.included is None else ("",)
-    return [series.name, "trend", "", "", "", "", *included,
-            *(format_cell(getattr(series.fit, name, "")) for name in _FIT_COLUMNS),
-            series.n_excluded]
+    return csv_line([series.name, "trend", "", "", "", "", *included,
+                     *(getattr(series.fit, name, "") for name in _FIT_COLUMNS),
+                     series.n_excluded])
+
+
+def _interval_cells(interval) -> str:
+    """An interval's min, reference and max cells, joined."""
+    return (f"{format_cell(interval.min)},{format_cell(interval.reference)},"
+            f"{format_cell(interval.max)}")
 
 
 def _trends_csv_rows(trends: list[Series]):
@@ -549,10 +545,11 @@ def _trends_csv_rows(trends: list[Series]):
 
 
 # Output file -> (the stage subcommand that writes it, whether report writes
-# it too, its CSV header (None: a JSON file), run -> its rows or JSON
+# it too, its CSV header (None: a JSON file), run -> its lines or JSON
 # payload), in write order. A row function reads only the stages its file
-# shows, so writing the file computes those stages and no others. Its float
-# cells go through format_cell: csv would write a repr (np.float64(...)).
+# shows, so writing the file computes those stages and no others. It yields
+# each row as one finished line (see inputs): csv_line for the small tables,
+# an f-string for the per-system and per-point ones.
 OUTPUTS = {
     "catalog.csv": ("ingest", False, CARD_COLUMNS, lambda run: card_rows(run.bundle.full_catalog)),
     "systems_normalized.csv": ("ingest", False, SYSTEM_COLUMNS,
@@ -560,17 +557,14 @@ OUTPUTS = {
     "merge_report.json": ("ingest", False, None,
                           lambda run: _merge_report_payload(run.bundle.merge_report)),
     "coverage.csv": ("coverage", True, ("row", *COVERAGE_METRICS),
-                     lambda run: run.coverage.csv_rows()),
+                     lambda run: map(csv_line, run.coverage.csv_rows())),
     "coverage.json": ("coverage", False, None, lambda run: run.coverage.as_dict()),
     "bridge.json": ("bridge", True, None, lambda run: _bridge_payload(*run.bridge)),
     "estimates.csv": (
         "estimate", True,
         ("system", "method", "gpu_hours_min", "gpu_hours_ref", "gpu_hours_max"),
-        lambda run: (
-            [system.name, est.method,
-             *map(format_cell, (est.interval.min, est.interval.reference, est.interval.max))]
-            for system, _, est in run.estimates[0]
-        ),
+        lambda run: (f"{quote_cell(system.name)},{est.method},{_interval_cells(est.interval)}"
+                     for system, _, est in run.estimates[0]),
     ),
     "impacts.csv": (
         "impacts", True,
@@ -578,11 +572,10 @@ OUTPUTS = {
          "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max", "adpe_kgsb_min", "adpe_kgsb_ref",
          "adpe_kgsb_max", "embodied_gwp_ref", "embodied_adpe_ref", "method"),
         lambda run: (
-            [r.system_name, r.publication_date, *map(format_cell, (
-                r.energy_kwh.min, r.energy_kwh.reference, r.energy_kwh.max,
-                r.gwp_kg.min, r.gwp_kg.reference, r.gwp_kg.max,
-                r.adpe_kgsb.min, r.adpe_kgsb.reference, r.adpe_kgsb.max,
-                r.embodied_ref.gwp_kg, r.embodied_ref.adpe_kgsb)), r.method]
+            f"{quote_cell(r.system_name)},{r.publication_date},{_interval_cells(r.energy_kwh)},"
+            f"{_interval_cells(r.gwp_kg)},{_interval_cells(r.adpe_kgsb)},"
+            f"{format_cell(r.embodied_ref.gwp_kg)},{format_cell(r.embodied_ref.adpe_kgsb)},"
+            f"{r.method}"
             for r in run.impacts[0]
         ),
     ),
@@ -593,8 +586,8 @@ OUTPUTS = {
     ),
     "embodied_shares.csv": (
         "impacts", True, ("metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"),
-        lambda run: ([s.metric, *map(format_cell, (s.min, s.q1, s.median, s.mean, s.q3, s.max)),
-                      s.n, s.excluded] for s in run.shares[0]),
+        lambda run: (csv_line([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n,
+                               s.excluded]) for s in run.shares[0]),
     ),
     # written as scenario_<ratio>.csv; report writes it only when a ratio is
     # set. The points of both series, then both trend rows, fitted or not.

@@ -442,17 +442,44 @@ def _zero_floor_config(tmp_path: Path) -> RunConfig:
 
 @pytest.mark.parametrize("case", ["bundled", "zero-floor"])
 def test_no_float_cell_reaches_the_csv_writer(tmp_path, case):
-    """Every CSV row builder formats its float cells (numpy.float64 is a
-    float too) with format_cell: csv would write a float's repr instead."""
+    """Every CSV row builder hands the writer finished lines of the header's
+    width, so no cell reaches it unformatted: a float cell is formatted by
+    format_cell in the row's f-string or in csv_line."""
     config = (RunConfig(scenario_ratio=0.1) if case == "bundled"
               else _zero_floor_config(tmp_path))
     run = Run(config)
-    csv_outputs = {name: list(content(run))
+    csv_outputs = {name: (header, list(content(run)))
                    for name, (_, _, header, content) in OUTPUTS.items() if header is not None}
-    assert all(csv_outputs.values())  # every builder made rows to check
-    floats = [(name, row) for name, rows in csv_outputs.items() for row in rows
-              if any(isinstance(cell, float) for cell in row)]
-    assert floats == []
+    assert all(lines for _, lines in csv_outputs.values())  # every builder made rows to check
+    unfinished = [(name, line) for name, (header, lines) in csv_outputs.items() for line in lines
+                  if not isinstance(line, str) or len(next(csv.reader([line]))) != len(header)]
+    assert unfinished == []
+
+
+def test_free_text_names_read_back_exactly(tmp_path, capsys):
+    """System names holding a comma, a double quote, doubled quotes or a line
+    end are quoted in every table that shows them, so csv.reader reads each
+    name back as it was given."""
+    names = ["Model, large", 'The "Big" one', 'Say ""hi""', "Two\nlines", "Three\rlines",
+             "Four\r\nlines"]
+    with default_data_path("systems_sample.csv").open(newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    rows += [[name, "2022-06-01", "", "A100", 8, 100, "USA", "confident", "false"]
+             for name in names]
+    systems = _write_table(tmp_path / "systems.csv", header, rows)
+    out = tmp_path / "out"
+    assert main(["report", "--scenario-ratio", "0.1", "--systems", str(systems),
+                 "--out", str(out)]) == 0
+    assert main(["ingest", "--systems", str(systems), "--out", str(tmp_path / "ingest")]) == 0
+    capsys.readouterr()
+    for path, copies in [(out / "estimates.csv", 1), (out / "impacts.csv", 1),
+                         (out / "scenario_0.1.csv", 2),  # a real and a scenario point
+                         (tmp_path / "ingest" / "systems_normalized.csv", 1)]:
+        with path.open(newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert all(len(row) == len(header) for row in rows), path.name
+        read = [row[header.index("name" if "name" in header else "system")] for row in rows]
+        assert [read.count(name) for name in names] == [copies] * len(names), path.name
 
 
 class TestCliCommands:
@@ -841,6 +868,8 @@ _MALFORMED_INPUTS = {
     "constants-not-a-number": ("lca", "--constants", b'{"pue": "abc"}', []),
     "constants-nan": ("lca", "--constants", b'{"pue": NaN}', []),
     "constants-boolean": ("lca", "--constants", b'{"pue": true}', []),
+    # each value is valid, but their product, the amortizable hours, rounds to 0
+    "constants-subnormal-lifespan": ("lca", "--constants", b'{"lifespan_hours": 5e-324}', []),
     "server-count-boolean": (
         "lca", "--server-profiles",
         b'{"default": {"gpus_per_server": true, "cpus_per_server": 2, "cpu_tdp_w": 150}}',

@@ -36,8 +36,10 @@ INPUTS = {
 SUBCOMMANDS = ["ingest", "coverage", "bridge", "estimate", "impacts", "trends", "scenario",
                "report"]
 CSV_CELLS = ["", " ", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "1e400", "abc",
-             "2099-12-31", "1899-01-01", "2021-02-30", "A100", "true", '"', "1,5", "é\x00"]
-JSON_LEAVES = [None, True, False, "x", "", -1, 0, 1e308, float("nan"), float("inf"), [], {}]
+             "2099-12-31", "1899-01-01", "2021-02-30", "A100", "true", '"', "1,5", "é\x00",
+             "5e-324"]
+JSON_LEAVES = [None, True, False, "x", "", -1, 0, 1e308, float("nan"), float("inf"), [], {},
+               5e-324]
 # (flag, value): valid values and bad ones; every value parses, so argparse
 # never exits and what is checked is how the run treats it.
 OPTIONS = [

@@ -1,14 +1,17 @@
-"""The CSV cell formatter, and the CSV reader as the table parsers see it:
-short and long rows, blank lines, line numbers, repeated header names, a
-byte-order mark, a column map and a lacking optional column."""
+"""The CSV cell formatter and line writer, and the CSV reader as the table
+parsers see it: short and long rows, blank lines, line numbers, repeated
+header names, a byte-order mark, a column map and a lacking optional column."""
 
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlca_trends.catalog import CARD_COLUMNS, parse_card_table
-from mlca_trends.inputs import format_cell, read_csv, write_csv
+from mlca_trends.inputs import csv_line, format_cell, read_csv, write_csv
 from mlca_trends.lca import load_mix_table
 from mlca_trends.systems import SYSTEM_COLUMNS, SystemRecord, parse_systems_table
 
@@ -37,13 +40,32 @@ def test_datetime_keeps_its_time_and_date_does_not():
 def test_written_table_reads_back(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c"],
-              ([x, dt.date(2020, 1, 2), None] for x in (format_cell(0.1), "x,y")))
+              (csv_line([x, dt.date(2020, 1, 2), None]) for x in (0.1, "x,y")))
+    assert path.read_bytes() == b'a,b,c\r\n0.1,2020-01-02,\r\n"x,y",2020-01-02,\r\n'
     header, rows = read_csv(path, ValueError, "table")
     assert header == ["a", "b", "c"]
     assert [row for _, row in rows] == [
         ["0.1", "2020-01-02", ""],
         ["x,y", "2020-01-02", ""],
     ]
+
+
+# Pieces of a text cell: each character the quoting rule looks for, NUL,
+# non-ASCII (a line separator too), a space-led and a plain word
+_PIECES = [",", '"', "\r", "\n", "\r\n", "\x00", "é", "漢", "\u2028", " lead", "plain"]
+_text_cells = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join) | st.text(max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_text_cells, min_size=2, max_size=6), min_size=1, max_size=5))
+def test_written_bytes_equal_csv_writers(tmp_path_factory, rows):
+    """csv.writer is the oracle: for rows of two or more text cells the line
+    writer quotes exactly the cells it quotes, and ends lines as it does."""
+    directory = tmp_path_factory.mktemp("rows")
+    write_csv(directory / "lines.csv", rows[0], map(csv_line, rows[1:]))
+    with (directory / "oracle.csv").open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    assert (directory / "lines.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
 
 
 def _table(tmp_path, text, name="t.csv", encoding="utf-8"):

@@ -64,6 +64,11 @@ def test_records_reject_non_finite_values(build, value):
         build(value)
 
 
+def test_constants_reject_amortizable_hours_that_round_to_zero():
+    with pytest.raises(ValueError, match="rounds to 0"):
+        LcaConstants(lifespan_hours=5e-324)  # times the utilization of 0.5
+
+
 class TestProductionImpact:
     def test_single_term_arithmetic(self):
         factors = ImpactFactors(

@@ -196,7 +196,7 @@ point_dates = st.one_of(
 @PROPERTY
 @given(point_dates)
 def test_memoized_date_cells_equal_fresh_ones(date):
-    fresh = (date.isoformat(), format_cell(round(to_fractional_year(date), 6)))
+    fresh = f"{date.isoformat()},{format_cell(round(to_fractional_year(date), 6))}"
     assert _date_cells(date) == fresh
     assert _date_cells(dt.date.fromordinal(date.toordinal())) == fresh  # a memo hit
 
