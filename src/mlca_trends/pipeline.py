@@ -285,12 +285,23 @@ def impact_stage(bundle: Bundle, estimate_rows):
     card_constants = {}
     for system, card_ref, estimate in estimate_rows:
         if card_ref is None:
-            skipped.append((system.name, "no resolvable hardware; impacts need a specific card"))
+            skipped.append(
+                (system.name, "no resolvable hardware; impacts need a specific card")
+            )
             continue
         try:
-            impacts.append(system_impact(system, estimate, card_ref, bundle.mixes,
-                                         bundle.server_profiles, bundle.factors,
-                                         bundle.constants, card_constants))
+            impacts.append(
+                system_impact(
+                    system,
+                    estimate,
+                    card_ref,
+                    bundle.mixes,
+                    bundle.server_profiles,
+                    bundle.factors,
+                    bundle.constants,
+                    card_constants,
+                )
+            )
         except (CannotEstimateError, UnknownCountryError, ValueError) as exc:
             # ValueError: a footprint overflowed to inf, which impacts reject
             skipped.append((system.name, str(exc)))
@@ -548,8 +559,8 @@ def _trends_csv_rows(trends: list[Series]):
 # it too, its CSV header (None: a JSON file), run -> its lines or JSON
 # payload), in write order. A row function reads only the stages its file
 # shows, so writing the file computes those stages and no others. It yields
-# each row as one finished line (see inputs): csv_line for the small tables,
-# an f-string for the per-system and per-point ones.
+# each row as one finished line (see inputs): an f-string for the estimate,
+# impact and point rows, which make up most of a report, csv_line for the rest.
 OUTPUTS = {
     "catalog.csv": ("ingest", False, CARD_COLUMNS, lambda run: card_rows(run.bundle.full_catalog)),
     "systems_normalized.csv": ("ingest", False, SYSTEM_COLUMNS,

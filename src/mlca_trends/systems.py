@@ -20,8 +20,7 @@ from operator import itemgetter
 
 from .catalog import RowError
 from .errors import SystemsError
-from .inputs import parse_count, parse_date, parse_number, positions, quote_cell
-from .inputs import read_csv, read_json
+from .inputs import csv_line, parse_count, parse_date, parse_number, positions, read_csv, read_json
 
 __all__ = [
     "SYSTEM_COLUMNS",
@@ -210,16 +209,19 @@ def parse_systems_table(path, column_map=None) -> tuple[list[SystemRecord], list
 
 
 def system_rows(systems):
-    """Records as CSV lines of SYSTEM_COLUMNS cells, which parse back to the
-    same records; the free-text cells go through quote_cell."""
+    """Records as CSV lines of SYSTEM_COLUMNS cells, which parse back to the same records."""
     return (
-        f"{quote_cell(s.name)},{s.publication_date},"
-        f"{'' if s.training_flop is None else s.training_flop},"
-        f"{quote_cell(';'.join(s.hardware_names or ()))},"
-        f"{'' if s.hardware_quantity is None else s.hardware_quantity},"
-        f"{'' if s.training_hours is None else s.training_hours},"
-        f"{quote_cell(';'.join(s.countries or ()))},{s.confidence},"
-        f"{'true' if s.finetuned else 'false'}"
+        csv_line([
+            s.name,
+            s.publication_date.isoformat(),
+            "" if s.training_flop is None else str(s.training_flop),
+            ";".join(s.hardware_names) if s.hardware_names else "",
+            "" if s.hardware_quantity is None else str(s.hardware_quantity),
+            "" if s.training_hours is None else str(s.training_hours),
+            ";".join(s.countries) if s.countries else "",
+            s.confidence,
+            "true" if s.finetuned else "false",
+        ])
         for s in systems
     )
 

@@ -19,6 +19,7 @@ from mlca_trends.catalog import CARD_COLUMNS, LATEST_RELEASE_YEAR
 from mlca_trends.cli import _build_parser, _config_from_args, main
 from mlca_trends.errors import ConfigError, PipelineError
 from mlca_trends.estimation import fit_bridge
+from mlca_trends.inputs import format_cell
 from mlca_trends.pipeline import (
     OUTPUTS,
     Run,
@@ -440,11 +441,25 @@ def _zero_floor_config(tmp_path: Path) -> RunConfig:
                      mixes=mixes, scenario_ratio=0.1, gwp_floor=0.0)
 
 
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+# Tables whose number cells are str() of the parsed input, not format_cell:
+# they round-trip to the same cards and records
+_STR_CELL_TABLES = {"catalog.csv", "systems_normalized.csv"}
+
+
 @pytest.mark.parametrize("case", ["bundled", "zero-floor"])
 def test_no_float_cell_reaches_the_csv_writer(tmp_path, case):
     """Every CSV row builder hands the writer finished lines of the header's
-    width, so no cell reaches it unformatted: a float cell is formatted by
-    format_cell in the row's f-string or in csv_line."""
+    width, and formats each float cell with format_cell (12 significant
+    digits, so 0.0 is written 0): a raw float in a line's f-string would
+    show its repr instead."""
     config = (RunConfig(scenario_ratio=0.1) if case == "bundled"
               else _zero_floor_config(tmp_path))
     run = Run(config)
@@ -454,6 +469,15 @@ def test_no_float_cell_reaches_the_csv_writer(tmp_path, case):
     unfinished = [(name, line) for name, (header, lines) in csv_outputs.items() for line in lines
                   if not isinstance(line, str) or len(next(csv.reader([line]))) != len(header)]
     assert unfinished == []
+    unformatted = []
+    for name, (_, lines) in csv_outputs.items():
+        if name in _STR_CELL_TABLES:
+            continue
+        for cells in csv.reader(lines):
+            pct = name == "coverage.csv" and cells[0] == "coverage_pct"  # written to one decimal
+            unformatted += [(name, cell) for cell in cells if _parses_as_float(cell) and cell != (
+                f"{float(cell):.1f}" if pct else format_cell(float(cell)))]
+    assert unformatted == []
 
 
 def test_free_text_names_read_back_exactly(tmp_path, capsys):
