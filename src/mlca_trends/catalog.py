@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import CatalogError, UnresolvedCardError
@@ -80,25 +80,15 @@ _VENDOR_PREFIXES = frozenset(
 _PUNCT_RE = re.compile(r"[^\w\s]|_")
 
 
-@dataclass(frozen=True)
-class CardSpec:
-    """One graphics-card model. Peak fields are FLOP/s; any may be absent."""
+class CardSpec(namedtuple("CardSpec", (*CARD_COLUMNS, "source"),
+                          defaults=(None,) * 9 + ("other",))):
+    """One graphics-card model: name, vendor (str), release_date (date), then
+    die_area_mm2, process_node_nm, memory_gb (float), memory_type (str),
+    tdp_w and the peak_* figures (float, FLOP/s), any of them None when
+    absent, and source (one of CARD_SOURCES)."""
 
-    name: str
-    vendor: str
-    release_date: dt.date
-    die_area_mm2: float | None = None
-    process_node_nm: float | None = None
-    memory_gb: float | None = None
-    memory_type: str | None = None
-    tdp_w: float | None = None
-    peak_fp64: float | None = None
-    peak_fp32: float | None = None
-    peak_fp16: float | None = None
-    peak_tensor: float | None = None
-    source: str = "other"
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.name:
             raise ValueError("card name must be non-empty")
         if self.source not in CARD_SOURCES:
@@ -116,49 +106,51 @@ class CardSpec:
                 raise ValueError(f"{field_name} must be >= 0, got {value}")
             if field_name != "memory_gb" and value <= 0:
                 raise ValueError(f"{field_name} must be > 0, got {value}")
+        return self
 
-    @cached_property  # frozen without __slots__, so the instance dict holds it
+    @cached_property  # no __slots__, so the instance dict holds it
     def normalized_name(self) -> str:
         return normalize_name(self.name)
 
-
-@dataclass(frozen=True)
-class RowError:
-    """A row that could not be parsed, with its 1-based line number."""
-
-    line: int
-    message: str
+    def updated(self, **changes) -> CardSpec:
+        """The card with these fields changed, checked as a new card is."""
+        return CardSpec(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class DivergentField:
-    name: str
-    field: str
-    value_a: object
-    value_b: object
-    resolution: str  # "datasheet-override" or "unresolved"
+class RowError(namedtuple("RowError", ("line", "message"))):
+    """A row that could not be parsed: its 1-based line number and the reason."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MergeReport:
-    total_cards: int
-    validated: int
-    divergent: tuple[DivergentField, ...]
+class DivergentField(namedtuple("DivergentField",
+                                ("name", "field", "value_a", "value_b", "resolution"))):
+    """A compared field on which two card tables disagree: the card's name,
+    the field, each table's value, and the resolution, "datasheet-override"
+    or "unresolved"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CardReference:
-    """Resolution of a queried card name to candidates plus a reference pick."""
+class MergeReport(namedtuple("MergeReport", ("total_cards", "validated", "divergent"))):
+    """Counts of a catalog merge and its divergent fields (a tuple of DivergentField)."""
 
-    query_name: str
-    candidates: tuple[CardSpec, ...]
-    reference: CardSpec
+    __slots__ = ()
 
-    def __post_init__(self):
+
+class CardReference(namedtuple("CardReference", ("query_name", "candidates", "reference"))):
+    """Resolution of a queried card name (str) to candidates (a tuple of
+    CardSpec) plus a reference pick, one of them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.candidates:
             raise ValueError("candidates must be non-empty")
         if self.reference not in self.candidates:
             raise ValueError("reference must be one of the candidates")
+        return self
 
 
 def normalize_name(name: str) -> str:
@@ -291,7 +283,7 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
         if not card_divergences:
             validated += 1
         divergent.extend(card_divergences)
-        merged.append(replace(card_a, **updates) if updates else card_a)
+        merged.append(card_a.updated(**updates) if updates else card_a)
 
     for key, card_b in index_b.items():
         if key not in index_a:
@@ -304,7 +296,7 @@ def merge_catalogs(a, b, overrides=None) -> tuple[list[CardSpec], MergeReport]:
         i = merged_by_key[key]
         if getattr(merged[i], field) != value:
             try:
-                merged[i] = replace(merged[i], **{field: value})
+                merged[i] = merged[i].updated(**{field: value})
             except ValueError as exc:  # say, a release date in the future
                 raise CatalogError(f"override for {key!r} {field}: {exc}") from None
 

@@ -10,7 +10,6 @@ that file, which wins over RunConfig's defaults.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -56,17 +55,17 @@ _KINDS = {
 }
 
 
-def _kind(field: dataclasses.Field) -> str:
-    return field.type.removesuffix(" | None")
+def _kind(name: str) -> str:
+    return RunConfig.FIELD_TYPES[name].removesuffix(" | None")
 
 
-def _field_value(field: dataclasses.Field, value):
+def _field_value(name: str, value):
     """A flag's or MLCA_TRENDS_CONFIG's value as that RunConfig field's value:
     None for "" or null where the field may be None (no file, for a path),
     TypeError if it is none of its kind, OverflowError past the float range.
     An empty required path stays "", so that RunConfig can reject an empty out."""
-    kind = _kind(field)
-    if value in ("", None) and kind != field.type:
+    kind = _kind(name)
+    if value in ("", None) and kind != RunConfig.FIELD_TYPES[name]:
         return None
     if kind == "Path" and isinstance(value, str):
         return Path(value) if value else value
@@ -87,9 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, (help_text, _) in _SUBCOMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        for field in dataclasses.fields(RunConfig):
-            command.add_argument(f"--{field.name.replace('_', '-')}", help=_HELP[field.name],
-                                 **_KINDS[_kind(field)][0])
+        for name in RunConfig._fields:
+            command.add_argument(f"--{name.replace('_', '-')}", help=_HELP[name],
+                                 **_KINDS[_kind(name)][0])
     return parser
 
 
@@ -98,7 +97,7 @@ def _env_defaults() -> dict:
     if not path:
         return {}
     data = read_json(path, ConfigError, f"{ENV_CONFIG} file")
-    fields = {field.name: field for field in dataclasses.fields(RunConfig)}
+    fields = RunConfig._fields
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(
@@ -107,19 +106,19 @@ def _env_defaults() -> dict:
     values = {}
     for key, value in data.items():
         try:
-            values[key] = _field_value(fields[key], value)
+            values[key] = _field_value(key, value)
         except (TypeError, OverflowError):
             raise ConfigError(f"{ENV_CONFIG} file {path}: {key!r} must be "
-                              f"{_KINDS[_kind(fields[key])][1]}, got {value!r}") from None
+                              f"{_KINDS[_kind(key)][1]}, got {value!r}") from None
     return values
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The flags given, over the MLCA_TRENDS_CONFIG values, over RunConfig's defaults."""
     values = _env_defaults()
-    for field in dataclasses.fields(RunConfig):
-        if getattr(args, field.name) is not None:
-            values[field.name] = _field_value(field, getattr(args, field.name))
+    for name in RunConfig._fields:
+        if getattr(args, name) is not None:
+            values[name] = _field_value(name, getattr(args, name))
     return RunConfig(**values)
 
 
@@ -128,9 +127,9 @@ def _ingest_summary(run: Run) -> dict:
     return {
         "cards_total": len(bundle.full_catalog),
         "cards_validated": bundle.merge_report.validated,
-        "card_row_errors": [vars(e) for e in bundle.card_row_errors],
+        "card_row_errors": [e._asdict() for e in bundle.card_row_errors],
         "systems_total": len(bundle.systems),
-        "system_row_errors": [vars(e) for e in bundle.system_row_errors],
+        "system_row_errors": [e._asdict() for e in bundle.system_row_errors],
         "outputs": run.output_files,
     }
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .catalog import CardReference, CardSpec
 from .errors import EstimationError, MissingPeakError
 from .intervals import EstimateInterval
-from .stats import RegressionResult, median, wls_fit
+from .stats import median, wls_fit
 
 __all__ = [
     "PEAK_FIELDS",
@@ -38,34 +38,33 @@ PEAK_FIELDS = ("peak_fp32", "peak_fp16", "peak_tensor")
 _SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True, slots=True)
-class GpuHoursEstimate:
-    """GPU-hours with provenance and a candidate-card interval.
+class GpuHoursEstimate(namedtuple("GpuHoursEstimate",
+                                  ("value", "method", "interval", "per_card"))):
+    """GPU-hours (float, > 0) with provenance (method: direct, flop_based or
+    flop_based_bridged) and a candidate-card EstimateInterval.
 
-    per_card maps candidate card names to their individual values when the
-    estimate is compute-based; direct estimates do not depend on the card.
+    per_card holds (candidate card name, its value) pairs when the estimate
+    is compute-based, else None: direct estimates do not depend on the card.
     """
 
-    value: float
-    method: str  # direct | flop_based | flop_based_bridged
-    interval: EstimateInterval
-    per_card: tuple[tuple[str, float], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError(f"GPU-hours must be > 0, got {self.value}")
-        if self.method not in ("direct", "flop_based", "flop_based_bridged"):
-            raise ValueError(f"unknown method {self.method!r}")
+    def __new__(cls, value, method, interval, per_card=None):
+        if value <= 0:
+            raise ValueError(f"GPU-hours must be > 0, got {value}")
+        if method not in ("direct", "flop_based", "flop_based_bridged"):
+            raise ValueError(f"unknown method {method!r}")
+        return tuple.__new__(cls, (value, method, interval, per_card))
 
 
-@dataclass(frozen=True, eq=False)
-class BridgeModel:
-    """OLS of log(direct GPU-h) on log(compute-based GPU-h), natural logs.
-    The coefficients and fit statistics are those of `fit`; compared by
+class BridgeModel(namedtuple("BridgeModel", ("fit", "log_flop_hours"))):
+    """OLS of log(direct GPU-h) on log(compute-based GPU-h), natural logs:
+    `fit` (a RegressionResult) and its x, log_flop_hours (an array). The
+    coefficients and fit statistics are those of `fit`; compared by
     identity, as `fit` is."""
 
-    fit: RegressionResult
-    log_flop_hours: array = field(repr=False)  # the fit's x
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def performance_ratio(self) -> float:

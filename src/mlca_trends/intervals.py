@@ -7,22 +7,18 @@ candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, slots=True)
-class EstimateInterval:
-    """Scalar (min, reference, max) triple with min <= reference <= max."""
+class EstimateInterval(namedtuple("EstimateInterval", ("min", "reference", "max"))):
+    """Scalar (min, reference, max) triple of floats with min <= reference <= max."""
 
-    min: float
-    reference: float
-    max: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.min <= self.reference <= self.max):
-            raise ValueError(
-                f"interval ordering violated: {self.min} <= {self.reference} <= {self.max}"
-            )
+    def __new__(cls, min, reference, max):
+        if not (min <= reference <= max):
+            raise ValueError(f"interval ordering violated: {min} <= {reference} <= {max}")
+        return tuple.__new__(cls, (min, reference, max))
 
     @classmethod
     def degenerate(cls, value: float) -> "EstimateInterval":

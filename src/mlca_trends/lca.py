@@ -26,10 +26,10 @@ fixed.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import cached_property
 
 from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
@@ -66,17 +66,14 @@ WORLD_MIX_CODE = "WLD"  # pseudo-country for multi-national collaborations
 SCENARIO_BASE_YEAR = 2019
 
 
-@dataclass(frozen=True, slots=True)
-class ImpactVector:
-    """(GWP, ADPe) pair; components finite and never negative."""
+class ImpactVector(namedtuple("ImpactVector", ("gwp_kg", "adpe_kgsb"))):
+    """(GWP kg, ADPe kgSb) pair of floats; components finite and never negative."""
 
-    gwp_kg: float = 0.0
-    adpe_kgsb: float = 0.0
-
+    __slots__ = ()
     COMPONENTS = ("gwp_kg", "adpe_kgsb")
 
-    def __post_init__(self):
-        _nonnegative(self.gwp_kg, self.adpe_kgsb, names=self.COMPONENTS)
+    def __new__(cls, gwp_kg=0.0, adpe_kgsb=0.0):
+        return tuple.__new__(cls, _nonnegative(gwp_kg, adpe_kgsb, names=cls.COMPONENTS))
 
 
 def _nonnegative(*components: float, names=("energy_kwh", *ImpactVector.COMPONENTS)):
@@ -88,50 +85,46 @@ def _nonnegative(*components: float, names=("energy_kwh", *ImpactVector.COMPONEN
     return components
 
 
-@dataclass(frozen=True)
-class ImpactFactors:
-    """Production impact factors: per cm^2 of die, per GB of memory (fixed
-    density), per board, and per CPU. Node-independent by design."""
+class ImpactFactors(namedtuple("ImpactFactors",
+                               ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production"))):
+    """Production impact factors, each an ImpactVector: per cm^2 of die, per
+    GB of memory (fixed density), per board, and per CPU. Node-independent by
+    design."""
 
-    logic_per_cm2: ImpactVector
-    memory_per_gb: ImpactVector
-    board_base: ImpactVector
-    cpu_production: ImpactVector
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ServerProfile:
-    gpus_per_server: int
-    cpus_per_server: int
-    cpu_tdp_w: float
+class ServerProfile(namedtuple("ServerProfile",
+                               ("gpus_per_server", "cpus_per_server", "cpu_tdp_w"))):
+    """A server layout: GPUs and CPUs per server (int) and each CPU's TDP in W (float)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (1 <= self.gpus_per_server < math.inf and 1 <= self.cpus_per_server < math.inf):
             raise ValueError("server must hold a finite count of at least one GPU and one CPU")
         if not 0 < self.cpu_tdp_w < math.inf:
             raise ValueError(f"cpu_tdp_w must be finite and > 0, got {self.cpu_tdp_w}")
+        return self
 
     @property
     def cpus_per_gpu(self) -> float:
         return self.cpus_per_server / self.gpus_per_server
 
 
-@dataclass(frozen=True)
-class ServerProfileTable:
-    """Name-pattern rules mapping cards to server layouts.
+class ServerProfileTable(namedtuple("ServerProfileTable", ("default", "rules"), defaults=((),))):
+    """Name-pattern rules mapping cards to server layouts: the default
+    ServerProfile and (pattern, ServerProfile) rules.
 
     Rules match when the pattern's tokens appear contiguously in the
     normalized card name; first matching rule wins, else the default
     (workstation-style) profile applies.
     """
 
-    default: ServerProfile
-    rules: tuple[tuple[str, ServerProfile], ...] = ()
-    _rule_tokens: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):  # rule patterns are normalized once, here
-        tokens = tuple((normalize_name(p).split(), profile) for p, profile in self.rules)
-        object.__setattr__(self, "_rule_tokens", tokens)
+    @cached_property  # no __slots__, so the instance dict holds it
+    def _rule_tokens(self) -> tuple:  # rule patterns are normalized once, here
+        return tuple((normalize_name(p).split(), profile) for p, profile in self.rules)
 
     def select(self, card: CardSpec) -> ServerProfile:
         name_tokens = card.normalized_name.split()
@@ -141,29 +134,31 @@ class ServerProfileTable:
         )
 
 
-@dataclass(frozen=True)
-class ElectricityMix:
-    country: str
-    carbon_intensity_g_per_kwh: float
-    adpe_kgsb_per_kwh: float
+class ElectricityMix(namedtuple("ElectricityMix",
+                                ("country", "carbon_intensity_g_per_kwh", "adpe_kgsb_per_kwh"))):
+    """A country code (str) and its mix's carbon intensity (gCO2eq/kWh) and
+    ADPe (kgSb/kWh), both finite and >= 0."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 <= self.carbon_intensity_g_per_kwh < math.inf
                 and 0 <= self.adpe_kgsb_per_kwh < math.inf):
             raise ValueError("mix intensities must be finite and >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class LcaConstants:
-    """Datacenter constants: near-optimal PUE, 3-year lifespan, 50% average
-    lifetime utilization, 100% processor usage during training."""
+class LcaConstants(namedtuple("LcaConstants", (
+        "pue", "lifespan_hours", "avg_lifetime_utilization", "training_usage"),
+        defaults=(1.1, 26280.0, 0.5, 1.0))):
+    """Datacenter constants (floats): near-optimal PUE, 3-year lifespan, 50%
+    average lifetime utilization, 100% processor usage during training."""
 
-    pue: float = 1.1
-    lifespan_hours: float = 26280.0
-    avg_lifetime_utilization: float = 0.5
-    training_usage: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.pue < math.inf:
             raise ValueError(f"pue must be finite and >= 1, got {self.pue}")
         if not 0 < self.lifespan_hours < math.inf:
@@ -174,41 +169,31 @@ class LcaConstants:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
         if not self.amortizable_hours > 0:  # say, a subnormal lifespan_hours
             raise ValueError("lifespan_hours * avg_lifetime_utilization rounds to 0")
+        return self
 
     @property
     def amortizable_hours(self) -> float:
         return self.lifespan_hours * self.avg_lifetime_utilization
 
 
-@dataclass(frozen=True, slots=True)
-class SystemImpact:
-    """Per-metric impact intervals for one system, plus the reference-phase
-    split and the reference mix (the first-listed country's), which a
-    carbon-intensity scenario reprices."""
+class SystemImpact(namedtuple("SystemImpact", (
+        "system_name", "publication_date", "energy_kwh", "gwp_kg", "adpe_kgsb", "embodied_ref",
+        "method", "mix_ref"))):
+    """Per-metric impact intervals (EstimateInterval) for one system, named
+    and dated, plus the reference-phase split (embodied_ref, an
+    ImpactVector), the estimate's method and the reference mix (mix_ref, the
+    first-listed country's ElectricityMix), which a carbon-intensity
+    scenario reprices."""
 
-    system_name: str
-    publication_date: dt.date
-    energy_kwh: EstimateInterval
-    gwp_kg: EstimateInterval
-    adpe_kgsb: EstimateInterval
-    embodied_ref: ImpactVector
-    method: str
-    mix_ref: ElectricityMix
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShareSummary:
-    """Five-number summary plus mean of embodied shares (percent)."""
+class ShareSummary(namedtuple("ShareSummary", (
+        "metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"))):
+    """Five-number summary plus mean of embodied shares (percent) for one
+    metric, with the count of shares (n) and of rows excluded."""
 
-    metric: str
-    min: float
-    q1: float
-    median: float
-    mean: float
-    q3: float
-    max: float
-    n: int
-    excluded: int
+    __slots__ = ()
 
 
 _FACTOR_ENTRIES = ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production")

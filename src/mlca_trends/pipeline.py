@@ -15,16 +15,14 @@ deterministic: identical inputs and config produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import json
 import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
-from importlib.resources import files as _resource_files
 from itertools import chain
 from pathlib import Path
 
@@ -33,7 +31,6 @@ from .catalog import (
     CARD_COLUMNS,
     CardIndex,
     CardReference,
-    CardSpec,
     MergeReport,
     card_rows,
     characteristic_series,
@@ -75,7 +72,7 @@ from .lca import (
     scenario_gwp,
     system_impact,
 )
-from .stats import TrendFit, diagnostics, exp_trend, to_fractional_year
+from .stats import diagnostics, exp_trend, to_fractional_year
 from .systems import (
     COVERAGE_METRICS,
     SYSTEM_COLUMNS,
@@ -103,80 +100,79 @@ _CARD_TREND_WEIGHTING = "ols"
 
 
 def default_data_path(name: str) -> Path:
-    return Path(str(_resource_files("mlca_trends.data").joinpath(name)))
+    """The data file of that name bundled with the package."""
+    return Path(__file__).parent / "data" / name
 
 
-def _bundled(name: str):
-    """A RunConfig field defaulting to the bundled data file of that name."""
-    return dataclasses.field(default_factory=lambda: default_data_path(name))
+# RunConfig's fields: name -> (its type, its default). cli parses each field's
+# flag and MLCA_TRENDS_CONFIG value by its type, "| None" where None may be given.
+_RUN_FIELDS = {
+    "out": ("Path", Path("out")),
+    "cards": ("Path", default_data_path("cards_nvidia_workstation.csv")),
+    "cards_alt": ("Path | None", None),
+    "cards_extra": ("Path | None", default_data_path("cards_other.csv")),
+    "overrides": ("Path | None", None),
+    "systems": ("Path", default_data_path("systems_sample.csv")),
+    "mixes": ("Path", default_data_path("electricity_mixes.csv")),
+    "factors": ("Path", default_data_path("impact_factors.json")),
+    "constants": ("Path", default_data_path("lca_constants.json")),
+    "plausibility": ("Path", default_data_path("plausibility.json")),
+    "server_profiles": ("Path", default_data_path("server_profiles.json")),
+    "column_map": ("Path | None", None),
+    "apply_bridge": ("bool", True),
+    "scenario_ratio": ("float | None", None),
+    "gwp_floor": ("float", 50.0),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", _RUN_FIELDS,
+                           defaults=[default for _, default in _RUN_FIELDS.values()])):
     """Paths and flags for one pipeline run. Each input defaults to the data
     file bundled with the package, but for the three optional ones (cards_alt,
     overrides, column_map); None, their default, means no file, as it does
-    for cards_extra."""
+    for cards_extra. FIELD_TYPES maps each field to its type."""
 
-    out: Path = Path("out")
-    cards: Path = _bundled("cards_nvidia_workstation.csv")
-    cards_alt: Path | None = None
-    cards_extra: Path | None = _bundled("cards_other.csv")
-    overrides: Path | None = None
-    systems: Path = _bundled("systems_sample.csv")
-    mixes: Path = _bundled("electricity_mixes.csv")
-    factors: Path = _bundled("impact_factors.json")
-    constants: Path = _bundled("lca_constants.json")
-    plausibility: Path = _bundled("plausibility.json")
-    server_profiles: Path = _bundled("server_profiles.json")
-    column_map: Path | None = None
-    apply_bridge: bool = True
-    scenario_ratio: float | None = None
-    gwp_floor: float = 50.0
+    __slots__ = ()
+    FIELD_TYPES = {name: kind for name, (kind, _) in _RUN_FIELDS.items()}
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.out == "":  # Path("") would be the working directory
             raise ConfigError('out must not be empty; give "." for the working directory')
         if not 0 <= self.gwp_floor <= sys.float_info.max:  # nan, inf and huge ints fail
             raise PipelineError(f"gwp floor must be a finite number >= 0, got {self.gwp_floor}")
         if self.scenario_ratio is not None and not 0 <= self.scenario_ratio <= 1:
             raise PipelineError(f"scenario ratio must be in [0, 1], got {self.scenario_ratio}")
+        return self
 
     def sha256(self) -> str:
         import hashlib
         # default=str writes each Path as its string
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
+        payload = json.dumps(self._asdict(), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class Bundle:
-    """Everything loaded and merged, shared read-only by the stages."""
+class Bundle(namedtuple("Bundle", (
+        "workstation_cards", "full_catalog", "merge_report", "card_row_errors", "systems",
+        "system_row_errors", "mixes", "factors", "constants", "server_profiles",
+        "plausibility"))):
+    """Everything loaded and merged, shared read-only by the stages: the
+    workstation and full card lists, the MergeReport, the card and system
+    RowErrors, the SystemRecords, the mixes by country code, the
+    ImpactFactors, LcaConstants and ServerProfileTable, and the
+    plausibility config."""
 
-    workstation_cards: list[CardSpec]
-    full_catalog: list[CardSpec]
-    merge_report: MergeReport
-    card_row_errors: list
-    systems: list
-    system_row_errors: list
-    mixes: dict
-    factors: object
-    constants: object
-    server_profiles: object
-    plausibility: dict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(namedtuple("Series", ("name", "points", "fit", "labels", "included"),
+                        defaults=(None, None))):
     """Named (date, value) points in output order and their exponential trend
-    fit, None when it cannot be fitted. A series filtered before its fit (the
-    scenario pair) also holds each point's label and whether the filter kept it."""
+    fit (a TrendFit), None when it cannot be fitted. A series filtered before
+    its fit (the scenario pair) also holds each point's label and whether the
+    filter kept it, in two lists."""
 
-    name: str
-    points: list
-    fit: TrendFit | None
-    labels: list | None = None
-    included: list | None = None
+    __slots__ = ()
 
     @property
     def n_excluded(self) -> int | None:
@@ -488,7 +484,7 @@ def _merge_report_payload(report: MergeReport) -> dict:
         "total_cards": report.total_cards,
         "validated": report.validated,
         "divergent": [
-            {**vars(d), "value_a": str(d.value_a), "value_b": str(d.value_b)}
+            {**d._asdict(), "value_a": str(d.value_a), "value_b": str(d.value_b)}
             for d in report.divergent
         ],
     }

@@ -28,7 +28,7 @@ import datetime as _dt
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property, partial
 from itertools import count
 from math import fsum
@@ -54,23 +54,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class RegressionResult:
+class RegressionResult(namedtuple("RegressionResult", (
+        "coefficients", "standard_errors", "r2", "adj_r2", "f_statistic", "f_df", "residuals",
+        "weights", "n"))):
     """Fit of y = a + b*x minimizing sum w_i (y_i - a - b*x_i)^2.
 
-    coefficients is (a, b); standard_errors matches. f_df is (1, n-2).
-    Compared by identity, as the result of one fit.
+    coefficients is (a, b); standard_errors matches. r2, adj_r2 and
+    f_statistic are floats, f_df is (1, n-2), residuals and weights are
+    arrays over the n points. Compared by identity, as the result of one fit;
+    without __slots__, so that the instance dict holds f_pvalue.
     """
 
-    coefficients: tuple[float, float]
-    standard_errors: tuple[float, float]
-    r2: float
-    adj_r2: float
-    f_statistic: float
-    f_df: tuple[int, int]
-    residuals: array
-    weights: array
-    n: int
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def intercept(self) -> float:
@@ -86,22 +81,16 @@ class RegressionResult:
         return _f_upper_tail(self.f_df[1], self.f_statistic)
 
 
-@dataclass(frozen=True)
-class TrendFit:
-    """Log-linear trend of a positive time series.
+class TrendFit(namedtuple("TrendFit", (
+        "slope_per_year", "intercept", "growth_factor", "cagr_pct", "doubling_time_years",
+        "weighting", "n_used", "n_excluded", "regression"))):
+    """Log-linear trend of a positive time series: floats, then the weighting
+    (str), the counts of points used and excluded, and the RegressionResult.
 
     doubling_time_years = ln(2)/slope for positive slopes, NaN otherwise.
     """
 
-    slope_per_year: float
-    intercept: float
-    growth_factor: float
-    cagr_pct: float
-    doubling_time_years: float
-    weighting: str
-    n_used: int
-    n_excluded: int
-    regression: RegressionResult
+    __slots__ = ()
 
 
 def _as_vector(v, name: str) -> array:

@@ -11,12 +11,11 @@ every cell as text, numbers at full precision, so records parse back the same.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
-from collections import Counter
-from dataclasses import dataclass, field, fields
+from collections import Counter, namedtuple
 from functools import cache
 from operator import itemgetter
+from types import MappingProxyType
 
 from .catalog import RowError
 from .errors import SystemsError
@@ -55,35 +54,35 @@ _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "y"), True),
              **dict.fromkeys(("false", "0", "no", "n", ""), False)}
 
 
-@dataclass(frozen=True, slots=True)
-class SystemRecord:
-    """One notable ML system; absent fields are None."""
+class SystemRecord(namedtuple("SystemRecord", SYSTEM_COLUMNS)):
+    """One notable ML system: name (str), publication_date (date),
+    training_flop (float), hardware_names (tuple of str), hardware_quantity
+    (int), training_hours (float), countries (tuple of str), confidence (one
+    of CONFIDENCE_LEVELS) and finetuned (bool); absent fields are None."""
 
-    name: str
-    publication_date: dt.date
-    training_flop: float | None = None
-    hardware_names: tuple[str, ...] | None = None
-    hardware_quantity: int | None = None
-    training_hours: float | None = None
-    countries: tuple[str, ...] | None = None
-    confidence: str = "unknown"
-    finetuned: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name, publication_date, training_flop=None, hardware_names=None,
+                hardware_quantity=None, training_hours=None, countries=None,
+                confidence="unknown", finetuned=False):
+        if not name:
             raise ValueError("system name must be non-empty")
-        for field_name in ("training_flop", "hardware_quantity", "training_hours"):
-            value = getattr(self, field_name)
+        for field_name, value in (("training_flop", training_flop),
+                                  ("hardware_quantity", hardware_quantity),
+                                  ("training_hours", training_hours)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{field_name} must be finite, got {value}")
-        if self.training_flop is not None and self.training_flop <= 0:
-            raise ValueError(f"training_flop must be > 0, got {self.training_flop}")
-        if self.hardware_quantity is not None and self.hardware_quantity < 1:
-            raise ValueError(f"hardware_quantity must be >= 1, got {self.hardware_quantity}")
-        if self.training_hours is not None and self.training_hours <= 0:
-            raise ValueError(f"training_hours must be > 0, got {self.training_hours}")
-        if self.confidence not in CONFIDENCE_LEVELS:
+        if training_flop is not None and training_flop <= 0:
+            raise ValueError(f"training_flop must be > 0, got {training_flop}")
+        if hardware_quantity is not None and hardware_quantity < 1:
+            raise ValueError(f"hardware_quantity must be >= 1, got {hardware_quantity}")
+        if training_hours is not None and training_hours <= 0:
+            raise ValueError(f"training_hours must be > 0, got {training_hours}")
+        if confidence not in CONFIDENCE_LEVELS:
             raise ValueError(f"confidence must be one of {CONFIDENCE_LEVELS}")
+        return tuple.__new__(cls, (name, publication_date, training_flop, hardware_names,
+                                   hardware_quantity, training_hours, countries, confidence,
+                                   finetuned))
 
     @property
     def has_direct_inputs(self) -> bool:
@@ -94,56 +93,44 @@ class SystemRecord:
         return self.training_flop is not None and bool(self.hardware_names)
 
 
-@dataclass(frozen=True)
-class CoverageCounts:
-    """Presence counts for one slice of the dataset (Table-1 style columns)."""
-
-    systems: int = 0
-    flop: int = 0
-    hardware: int = 0
-    flop_and_hardware: int = 0
-    duration: int = 0
-    quantity: int = 0
-    duration_and_quantity: int = 0
-    duration_quantity_hardware: int = 0
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, m) for m in COVERAGE_METRICS)
+# The columns of coverage.csv after its row label
+COVERAGE_METRICS = ("systems", "flop", "hardware", "flop_and_hardware", "duration", "quantity",
+                    "duration_and_quantity", "duration_quantity_hardware")
 
 
-# CoverageCounts' fields: the columns of coverage.csv after its row label
-COVERAGE_METRICS: tuple[str, ...] = tuple(f.name for f in fields(CoverageCounts))
+class CoverageCounts(namedtuple("CoverageCounts", COVERAGE_METRICS, defaults=(0,) * 8)):
+    """Presence counts (int) for one slice of the dataset (Table-1 style columns)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverageSummary:
-    counts: CoverageCounts
-    by_confidence: dict[str, CoverageCounts] = field(default_factory=dict)
+class CoverageSummary(namedtuple("CoverageSummary", ("counts", "by_confidence"),
+                                 defaults=(MappingProxyType({}),))):
+    """The dataset's CoverageCounts, and a confidence level -> its CoverageCounts map."""
+
+    __slots__ = ()
 
     @property
     def percentages(self) -> tuple[float, ...]:
         total = self.counts.systems
         if total == 0:
             return tuple(0.0 for _ in COVERAGE_METRICS)
-        return tuple(100.0 * c / total for c in self.counts.as_tuple())
+        return tuple(100.0 * c / total for c in self.counts)
 
     def as_dict(self) -> dict:
         return {
-            "number": dict(zip(COVERAGE_METRICS, self.counts.as_tuple())),
+            "number": self.counts._asdict(),
             "coverage_pct": dict(zip(COVERAGE_METRICS, self.percentages)),
-            "confidence": {
-                level: dict(zip(COVERAGE_METRICS, counts.as_tuple()))
-                for level, counts in self.by_confidence.items()
-            },
+            "confidence": {level: counts._asdict() for level, counts in self.by_confidence.items()},
         }
 
     def csv_rows(self) -> list[list]:
         """coverage.csv's rows under its header ("row", *COVERAGE_METRICS)."""
-        rows = [["number", *self.counts.as_tuple()]]
+        rows = [["number", *self.counts]]
         rows.append(["coverage_pct", *(f"{p:.1f}" for p in self.percentages)])
         for level in CONFIDENCE_LEVELS:
             counts = self.by_confidence.get(level, CoverageCounts())
-            rows.append([level, *counts.as_tuple()])
+            rows.append([level, *counts])
         return rows
 
 

@@ -7,7 +7,6 @@ substitutes and say so in their printed note.
 """
 
 import csv
-import dataclasses
 import datetime as dt
 import json
 import math
@@ -125,8 +124,8 @@ def test_criterion_03_coverage_oracle():
     # hand-enumerated: flop on even i (10); hardware on i%3==0 (7);
     # both on i%6==0 (4); duration on i%4==0 (5); quantity on i%5==0 (4);
     # duration&quantity on i==0 (1); plus hardware still i==0 (1)
-    assert summary.counts.as_tuple() == (20, 10, 7, 4, 5, 4, 1, 1)
-    by_conf = {k: v.as_tuple() for k, v in summary.by_confidence.items()}
+    assert summary.counts == (20, 10, 7, 4, 5, 4, 1, 1)
+    by_conf = {k: tuple(v) for k, v in summary.by_confidence.items()}
     assert by_conf["confident"] == (5, 5, 2, 2, 5, 1, 1, 1)
     assert by_conf["likely"] == (5, 0, 1, 0, 0, 1, 0, 0)
     assert by_conf["speculative"] == (5, 5, 2, 2, 0, 1, 0, 0)
@@ -331,13 +330,13 @@ def _scenario_fixture(tmp_path) -> RunConfig:
 def test_criterion_08_scenario_comparison(tmp_path):
     config = _scenario_fixture(tmp_path)
 
-    real, scenario = Run(dataclasses.replace(config, scenario_ratio=0.0)).scenario
+    real, scenario = Run(config._replace(scenario_ratio=0.0)).scenario
     real_pts = sorted((n, v) for n, (_, v) in zip(real.labels, real.points))
     scen_pts = sorted((n, v) for n, (_, v) in zip(scenario.labels, scenario.points))
     assert real_pts == scen_pts
     assert real.n_excluded == scenario.n_excluded
 
-    real, scenario = Run(dataclasses.replace(config, scenario_ratio=0.25)).scenario
+    real, scenario = Run(config._replace(scenario_ratio=0.25)).scenario
     gf_real = real.fit.growth_factor
     gf_scenario = scenario.fit.growth_factor
     assert gf_real == pytest.approx(4.0, rel=1e-9)

@@ -1,25 +1,37 @@
 import codecs
 import csv
-import dataclasses
+import datetime as dt
 import gc
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import mlca_trends
 from mlca_trends import pipeline
-from mlca_trends.catalog import CARD_COLUMNS, LATEST_RELEASE_YEAR
+from mlca_trends.catalog import (
+    CARD_COLUMNS,
+    LATEST_RELEASE_YEAR,
+    CardReference,
+    CardSpec,
+    RowError,
+)
 from mlca_trends.cli import _build_parser, _config_from_args, main
 from mlca_trends.errors import ConfigError, PipelineError
-from mlca_trends.estimation import fit_bridge
+from mlca_trends.estimation import GpuHoursEstimate, fit_bridge
 from mlca_trends.inputs import format_cell
+from mlca_trends.intervals import EstimateInterval
+from mlca_trends.lca import ElectricityMix, ImpactVector, LcaConstants, ServerProfile
 from mlca_trends.pipeline import (
     OUTPUTS,
     Run,
@@ -28,7 +40,8 @@ from mlca_trends.pipeline import (
     run_pipeline,
 )
 from mlca_trends.stats import wls_fit
-from mlca_trends.systems import SYSTEM_COLUMNS
+from mlca_trends.systems import SYSTEM_COLUMNS, SystemRecord
+from tests.conftest import make_card
 from tests.test_stats import (
     CHI2_NORMAL_BOUND,
     F_TAIL_BOUND,
@@ -208,6 +221,11 @@ def _fresh_main_loads(commands: list[list[str]], *modules: str) -> list[tuple]:
     return [tuple(step) for step in json.loads(_fresh_python(script))]
 
 
+# Each subcommand, with the flags it needs to write its files
+EVERY_SUBCOMMAND = [["ingest"], ["coverage"], ["bridge"], ["estimate"], ["impacts"], ["trends"],
+                    ["scenario", "--scenario-ratio", "0.1"], ["report", "--scenario-ratio", "0.1"]]
+
+
 class TestNumpyOnDemand:
     def test_import_loads_neither_numpy_nor_hashlib(self):
         assert _fresh_main_loads([], "numpy") == [(None, False)]
@@ -226,11 +244,7 @@ class TestNumpyOnDemand:
             (None, False), (0, False), (0, False), (0, False), (0, False), (2, False), (1, False)
         ]
 
-    @pytest.mark.parametrize("command", [["ingest"], ["coverage"], ["bridge"], ["estimate"],
-                                         ["impacts"], ["trends"],
-                                         ["scenario", "--scenario-ratio", "0.1"],
-                                         ["report", "--scenario-ratio", "0.1"]],
-                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda command: command[0])
     def test_subcommand_loads_no_numpy_or_scipy(self, tmp_path, command):
         # Importing any numpy or scipy module loads its top-level package.
         steps = _fresh_main_loads([[*command, "--out", str(tmp_path / "out")]], "numpy", "scipy")
@@ -373,7 +387,7 @@ class TestSeriesLayouts:
             system("Tiny 1", "2021-06-01", 1, 1, "USA"),
             system("Tiny 2", "2022-03-01", 1, 1, "USA"),
         ])
-        run_pipeline(dataclasses.replace(base, out=tmp_path / "a", systems=systems))
+        run_pipeline(base._replace(out=tmp_path / "a", systems=systems))
         trends = _rows_by_series(tmp_path / "a" / "trends.csv")
         assert [r["kind"] for r in trends["card_process_node"]] == ["point", "point"]
         assert trends["card_memory_size"][-1]["kind"] == "trend"
@@ -404,8 +418,8 @@ class TestSeriesLayouts:
             system("Big 3", "2022-03-01", 100, 10000, "USA"),
             system("Clean", "2022-06-01", 100, 10000, "ZZZ"),
         ])
-        run_pipeline(dataclasses.replace(base, out=tmp_path / "b", systems=systems,
-                                         factors=factors, mixes=mixes, gwp_floor=0.0))
+        run_pipeline(base._replace(out=tmp_path / "b", systems=systems,
+                                   factors=factors, mixes=mixes, gwp_floor=0.0))
         scenario = _rows_by_series(tmp_path / "b" / "scenario_0.1.csv")
         for name in ("real", "scenario"):
             *points, trend = scenario[name]
@@ -729,26 +743,26 @@ class TestCliCommands:
         assert code == 1
         assert "error [config]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", RunConfig._fields)
     def test_each_run_setting_is_a_flag_and_an_env_key(self, tmp_path, monkeypatch, field):
-        default = getattr(RunConfig(), field.name)
+        default = getattr(RunConfig(), field)
         # field type -> ((flag text, its value), (MLCA_TRENDS_CONFIG value, its value))
         (flag_text, flag_value), (env_json, env_value) = {
             "Path": (("flag.csv", Path("flag.csv")), ("env.csv", Path("env.csv"))),
             "float": (("0.2", 0.2), (0.1, 0.1)),
             "bool": ((str(default).lower(), default), (not default, not default)),
-        }[field.type.removesuffix(" | None")]
+        }[RunConfig.FIELD_TYPES[field].removesuffix(" | None")]
         assert env_value not in (default, flag_value)
 
         def setting(*flags):
             return getattr(_config_from_args(_build_parser().parse_args(["report", *flags])),
-                           field.name)
+                           field)
 
-        flag = f"--{field.name.replace('_', '-')}={flag_text}"
+        flag = f"--{field.replace('_', '-')}={flag_text}"
         monkeypatch.delenv("MLCA_TRENDS_CONFIG", raising=False)
         assert (setting(), setting(flag)) == (default, flag_value)
         env_file = tmp_path / "config.json"
-        env_file.write_text(json.dumps({field.name: env_json}), encoding="utf-8")
+        env_file.write_text(json.dumps({field: env_json}), encoding="utf-8")
         monkeypatch.setenv("MLCA_TRENDS_CONFIG", str(env_file))
         assert (setting(), setting(flag)) == (env_value, flag_value)
 
@@ -1204,3 +1218,191 @@ class TestInputBoundary:
         assert main(["report", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [pipeline]") and str(out) in err[0]
+
+
+class TestRecords:
+    """The records are named tuples: importing and running the CLI generates
+    no code, and each record keeps the immutability and checks it had."""
+
+    def test_the_cli_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        commands = [["--help"], *([*command, "--out", str(tmp_path / command[0])]
+                                  for command in EVERY_SUBCOMMAND)]
+        assert _fresh_main_loads(commands, "dataclasses", "inspect") == [
+            (None, False), *[(0, False)] * 9
+        ]
+
+    def test_no_field_of_any_record_can_be_assigned(self, tmp_path):
+        run = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.1,
+                            cards_alt=default_data_path("cards_wiki.csv"),
+                            overrides=default_data_path("overrides.csv")))
+        bundle, (system, _, estimate), impact = run.bundle, run.estimates[0][0], run.impacts[0][0]
+        series = next(s for s in run.trends if s.fit is not None)
+        records = [
+            run.config, bundle, bundle.full_catalog[0], bundle.merge_report,
+            bundle.merge_report.divergent[0], RowError(2, "bad row"), bundle.constants,
+            bundle.factors, bundle.server_profiles, bundle.server_profiles.default,
+            next(ref for ref in run.card_refs.values() if ref is not None), system, run.coverage,
+            run.coverage.counts, run.bridge[0], run.bridge[0].fit, estimate, estimate.interval,
+            impact, impact.embodied_ref, impact.mix_ref, run.shares[0][0], series, series.fit,
+        ]
+        modules = [importlib.import_module(f"mlca_trends.{info.name}")
+                   for info in pkgutil.iter_modules(mlca_trends.__path__)]
+        record_classes = {value for module in modules for value in vars(module).values()
+                          if isinstance(value, type) and issubclass(value, tuple)
+                          and value.__module__ == module.__name__}
+        assert {type(record) for record in records} == record_classes
+        assert len(record_classes) == 24
+        for record in records:
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, getattr(record, field))
+
+    # (record class, valid fields, a field and a value it rejects, the error)
+    REJECTED = [
+        (EstimateInterval, dict(min=1.0, reference=2.0, max=3.0), "reference", 4.0, ValueError),
+        (ImpactVector, dict(gwp_kg=1.0, adpe_kgsb=1.0), "adpe_kgsb", -1.0, ValueError),
+        (ImpactVector, dict(gwp_kg=1.0, adpe_kgsb=1.0), "gwp_kg", math.nan, ValueError),
+        (GpuHoursEstimate, dict(value=1.0, method="direct", interval=EstimateInterval(1, 1, 1),
+                                per_card=None), "value", 0.0, ValueError),
+        (GpuHoursEstimate, dict(value=1.0, method="direct", interval=EstimateInterval(1, 1, 1),
+                                per_card=None), "method", "guess", ValueError),
+        *((SystemRecord, dict(name="S", publication_date=dt.date(2020, 1, 1), training_flop=1e20,
+                              hardware_names=("A100",), hardware_quantity=8, training_hours=10.0,
+                              countries=("USA",), confidence="likely", finetuned=False),
+           field, value, ValueError)
+          for field, value in [("name", ""), ("training_flop", math.inf),
+                               ("hardware_quantity", 0), ("training_hours", -1.0),
+                               ("confidence", "sure")]),
+        *((CardSpec, make_card()._asdict(), field, value, ValueError)
+          for field, value in [("name", ""), ("source", "blog"),
+                               ("release_date", dt.date(1980, 1, 1)), ("tdp_w", 0.0),
+                               ("memory_gb", -1.0), ("die_area_mm2", math.inf)]),
+        (CardReference, dict(query_name="X", candidates=(make_card("X"),),
+                             reference=make_card("Y")), "candidates", (), ValueError),
+        (ServerProfile, dict(gpus_per_server=8, cpus_per_server=2, cpu_tdp_w=200.0),
+         "gpus_per_server", 0, ValueError),
+        (ServerProfile, dict(gpus_per_server=8, cpus_per_server=2, cpu_tdp_w=200.0),
+         "cpu_tdp_w", math.inf, ValueError),
+        (ElectricityMix, dict(country="USA", carbon_intensity_g_per_kwh=380.0,
+                              adpe_kgsb_per_kwh=1e-8), "carbon_intensity_g_per_kwh", -1.0,
+         ValueError),
+        (LcaConstants, LcaConstants()._asdict(), "pue", 0.5, ValueError),
+        (LcaConstants, LcaConstants()._asdict(), "lifespan_hours", 5e-324, ValueError),
+        (LcaConstants, LcaConstants()._asdict(), "training_usage", 1.5, ValueError),
+        (RunConfig, RunConfig()._asdict(), "gwp_floor", -1.0, PipelineError),
+        (RunConfig, RunConfig()._asdict(), "scenario_ratio", 2.0, PipelineError),
+        (RunConfig, RunConfig()._asdict(), "out", "", ConfigError),
+    ]
+
+    @pytest.mark.parametrize("cls, fields, field, value, error", REJECTED,
+                             ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_a_checked_record_rejects_a_bad_value_however_it_is_built(
+        self, cls, fields, field, value, error
+    ):
+        if cls is CardReference:  # its reference must be among the candidates
+            fields = {**fields, "reference": fields["candidates"][0]}
+        assert cls(**fields) == cls(*fields.values()) == tuple(fields.values())
+        bad = {**fields, field: value}
+        with pytest.raises(error):
+            cls(**bad)
+        with pytest.raises(error):
+            cls(*bad.values())
+        if hasattr(cls, "updated"):  # how merge_catalogs builds an updated card
+            with pytest.raises(error):
+                cls(**fields).updated(**{field: value})
+
+
+class TestPinnedJson:
+    """JSON that records reach, pinned to what was written while the records
+    were dataclasses: json.dumps writes a named tuple as an array."""
+
+    def test_ingest_stdout_gives_each_row_error_as_an_object(self, tmp_path, capsys):
+        cards = tmp_path / "cards.csv"
+        cards.write_text(
+            ",".join(CARD_COLUMNS) + "\n"
+            "Quadro K510M,NVIDIA,2013-07-23,87,28,1,GDDR5,30,,6.93e11,,\n"
+            "Broken Card,NVIDIA,2013-13-01,87,28,1,GDDR5,30,,6.93e11,,\n",
+            encoding="utf-8")
+        systems = tmp_path / "systems.csv"
+        systems.write_text(
+            SYSTEMS_HEADER
+            + "AlexNet,2012-09-30,4.7e17,GeForce GTX 580,2,132,USA,confident,false\n"
+            "Broken System,2020-01-01,1e20,Quadro K510M,0,10,USA,confident,false\n",
+            encoding="utf-8")
+        assert main(["ingest", "--cards", str(cards), "--systems", str(systems),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == """{
+  "card_row_errors": [
+    {
+      "line": 3,
+      "message": "column 'release_date': cannot parse ISO date from '2013-13-01'"
+    }
+  ],
+  "cards_total": 19,
+  "cards_validated": 0,
+  "outputs": [
+    "catalog.csv",
+    "systems_normalized.csv",
+    "merge_report.json"
+  ],
+  "system_row_errors": [
+    {
+      "line": 3,
+      "message": "hardware_quantity must be >= 1, got 0"
+    }
+  ],
+  "systems_total": 1
+}
+"""
+
+    def test_merge_report_gives_each_divergent_field_as_an_object(self, tmp_path, capsys):
+        assert main(["ingest", "--cards-alt", str(default_data_path("cards_wiki.csv")),
+                     "--overrides", str(default_data_path("overrides.csv")),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "merge_report.json").read_text(encoding="utf-8") == """{
+  "divergent": [
+    {
+      "field": "tdp_w",
+      "name": "Tesla K40",
+      "resolution": "datasheet-override",
+      "value_a": "235.0",
+      "value_b": "245.0"
+    },
+    {
+      "field": "release_date",
+      "name": "Tesla K40",
+      "resolution": "datasheet-override",
+      "value_a": "2013-10-08",
+      "value_b": "2013-11-18"
+    },
+    {
+      "field": "tdp_w",
+      "name": "Tesla T4",
+      "resolution": "unresolved",
+      "value_a": "70.0",
+      "value_b": "75.0"
+    }
+  ],
+  "total_cards": 88,
+  "validated": 24
+}
+"""
+
+    def test_config_digest_of_fixed_paths(self):
+        paths = dict(
+            out=Path("out"), cards=Path("cards.csv"), cards_alt=Path("cards_alt.csv"),
+            cards_extra=Path("cards_extra.csv"), overrides=Path("overrides.csv"),
+            systems=Path("systems.csv"), mixes=Path("mixes.csv"), factors=Path("factors.json"),
+            constants=Path("constants.json"), plausibility=Path("plausibility.json"),
+            server_profiles=Path("server_profiles.json"), column_map=Path("column_map.json"),
+        )
+        assert RunConfig(**paths).sha256() == (
+            "d3559220288cb167ea3e0093087d46658de8377325fea70cc8ba49ade98d8336")
+        assert RunConfig(**paths, apply_bridge=False, scenario_ratio=0.1, gwp_floor=0.0
+                         ).sha256() == (
+            "fee6461cacbfd80b818996b930c76b33f5c7f05d426f00a3630a1023eac745b1")
+
+
+def test_bundled_data_paths_are_the_package_resources():
+    for resource in files("mlca_trends.data").iterdir():
+        assert default_data_path(resource.name) == Path(str(resource))

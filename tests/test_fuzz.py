@@ -1,7 +1,8 @@
-"""Fuzz test of the command line. Whatever the subcommand and flags, and
+"""Fuzz tests of the command line. Whatever the subcommand and flags, and
 however one cell of a bundled CSV or JSON input is mutated, `main()` returns
 0, or prints one `error [stage]: …` line and returns 1. It never raises, and
-a failed run leaves `--out` as it found it."""
+a failed run leaves `--out` as it found it. A second property holds the
+same of a report on up to three inputs mutated in up to four places."""
 
 import contextlib
 import csv
@@ -143,4 +144,88 @@ def test_main_exits_0_or_1_and_a_failure_leaves_out_as_it_was(
             assert out_kind != "nested" or not (tmp / "a").exists(), argv
         else:
             assert out.is_dir() and len(list(out.iterdir())) > len(before or []), argv
+            json.loads(stdout.getvalue())
+
+
+# The multi-cell property: more examples, as each draws several mutations.
+# Its JSON figures sit at the edges of what the checks accept, where two
+# figures that each pass can still combine into a bad one.
+MULTI_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+JSON_EDGES = [5e-324, 0, 1, 1e308]
+
+
+def _at(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+@st.composite
+def mutated_files(draw):
+    """{flag: (file name, text)} for 1-3 bundled inputs that carry 1-4
+    mutations in all, each at least one: a CSV cell replaced, a row
+    duplicated, or the table truncated within a row; a JSON number set to
+    an edge value."""
+    flags = draw(st.lists(st.sampled_from(sorted(INPUTS)), min_size=1, max_size=3, unique=True))
+    documents = {}
+    for flag in [*flags, *draw(st.lists(st.sampled_from(flags), max_size=4 - len(flags)))]:
+        name = INPUTS[flag]
+        if flag not in documents:
+            text = default_data_path(name).read_text(encoding="utf-8")
+            documents[flag] = (list(csv.reader(io.StringIO(text))) if name.endswith(".csv")
+                               else json.loads(text))
+        document = documents[flag]
+        if name.endswith(".csv") and document:  # not yet truncated to nothing
+            row = draw(st.integers(0, len(document) - 1))
+            col = draw(st.integers(0, len(document[row])))
+            kind = draw(st.sampled_from(["cell", "cell", "duplicate", "truncate"]))
+            if kind == "cell":
+                document[row][col:col + 1] = [draw(st.sampled_from(CSV_CELLS))]
+            elif kind == "duplicate":
+                document.insert(row, list(document[row]))
+            else:
+                del document[row + 1:], document[row][col:]
+        elif name.endswith(".json"):
+            numbers = [path for path in _leaves(document)
+                       if type(_at(document, path)) in (int, float)]
+            if numbers:
+                path = draw(st.sampled_from(numbers))
+                _at(document, path[:-1])[path[-1]] = draw(st.sampled_from(JSON_EDGES))
+    files = {}
+    for flag, document in documents.items():
+        if INPUTS[flag].endswith(".csv"):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(document)
+            files[flag] = (INPUTS[flag], buffer.getvalue())
+        else:
+            files[flag] = (INPUTS[flag], json.dumps(document))
+    return files
+
+
+@MULTI_FUZZ
+@given(mutated_files())
+def test_a_report_on_several_mutated_cells_exits_0_or_prints_one_error_line(files):
+    """report computes every stage, where two mutated figures can meet; the
+    one-cell property above varies the subcommand and flags."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["report", "--scenario-ratio=0.1", f"--out={tmp / 'out'}"]
+        for flag, (name, text) in files.items():
+            (tmp / name).write_text(text, encoding="utf-8")
+            argv.append(f"{flag}={tmp / name}")
+        for flag in ("--cards-alt", "--overrides"):  # a mutated table meets the full merge
+            if {"--cards-alt", "--overrides"} & files.keys() and flag not in files:
+                argv.append(f"{flag}={default_data_path(INPUTS[flag])}")
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+
+        if code == 1:
+            lines = [line for line in stderr.getvalue().splitlines()
+                     if not line.startswith("warning [")]
+            assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (argv, stderr.getvalue())
+            assert not list(tmp.rglob("out*")) and not list(tmp.rglob(".out.*")), argv
+        else:
+            assert code == 0, (argv, stderr.getvalue())
             json.loads(stdout.getvalue())

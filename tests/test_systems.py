@@ -160,7 +160,7 @@ def presence_pattern(rng):
 class TestCoverage:
     def test_empty_is_all_zero(self):
         summary = coverage_summary([])
-        assert summary.counts.as_tuple() == (0,) * 8
+        assert summary.counts == (0,) * 8
         assert summary.percentages == (0.0,) * 8
 
     def test_hand_counted_four_records(self):
@@ -195,7 +195,7 @@ class TestCoverage:
             assert c.flop_and_hardware <= min(c.flop, c.hardware)
             assert c.duration_and_quantity <= min(c.duration, c.quantity)
             assert c.duration_quantity_hardware <= min(c.duration_and_quantity, c.hardware)
-            assert max(c.as_tuple()) <= c.systems
+            assert max(c) <= c.systems
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.sampled_from(CONFIDENCE_LEVELS), st.booleans(), st.booleans(),
