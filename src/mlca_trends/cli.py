@@ -123,13 +123,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _ingest_summary(run: Run) -> dict:
-    bundle = run.bundle
+    _, catalog, merge_report, card_errors = run.cards
+    systems, system_errors = run.systems
     return {
-        "cards_total": len(bundle.full_catalog),
-        "cards_validated": bundle.merge_report.validated,
-        "card_row_errors": [e._asdict() for e in bundle.card_row_errors],
-        "systems_total": len(bundle.systems),
-        "system_row_errors": [e._asdict() for e in bundle.system_row_errors],
+        "cards_total": len(catalog),
+        "cards_validated": merge_report.validated,
+        "card_row_errors": [e._asdict() for e in card_errors],
+        "systems_total": len(systems),
+        "system_row_errors": [e._asdict() for e in system_errors],
         "outputs": run.output_files,
     }
 

@@ -21,6 +21,7 @@ from .stats import median, wls_fit
 
 __all__ = [
     "PEAK_FIELDS",
+    "MAD_LIMIT",
     "GpuHoursEstimate",
     "BridgeModel",
     "best_peak",
@@ -36,6 +37,9 @@ __all__ = [
 PEAK_FIELDS = ("peak_fp32", "peak_fp16", "peak_tensor")
 
 _SECONDS_PER_HOUR = 3600.0
+
+# A bridge pair is anomalous past this many MADs of log-ratio from the median
+MAD_LIMIT = 3.0
 
 
 class GpuHoursEstimate(namedtuple("GpuHoursEstimate",
@@ -117,12 +121,12 @@ def gpu_hours_direct(duration_hours: float, quantity: int) -> GpuHoursEstimate:
     return GpuHoursEstimate(value=value, method="direct", interval=EstimateInterval.degenerate(value))
 
 
-def detect_anomalies(pairs, k: float = 3.0):
+def detect_anomalies(pairs):
     """Split (system, h_direct, h_flop) pairs into clean and anomalous.
 
     A pair is anomalous when the system is flagged fine-tuned (the compute
     estimate then covers the base model, not the fine-tune) or when its
-    log-ratio log(h_direct/h_flop) sits more than k MADs from the median
+    log-ratio log(h_direct/h_flop) sits more than MAD_LIMIT MADs from the median
     ratio, or when h_direct/h_flop is 0 or inf (no log-ratio; not in the
     median). Returns (clean, anomalous) where anomalous entries carry a
     reason; together they partition the input in order.
@@ -141,7 +145,7 @@ def detect_anomalies(pairs, k: float = 3.0):
     mad = median([abs(ratio - center) for ratio in finite])
     # Absolute guard keeps ulp-level noise in exact-ratio data from tripping
     # the zero-MAD case.
-    threshold = k * mad + 1e-12 * max(1.0, abs(center))
+    threshold = MAD_LIMIT * mad + 1e-12 * max(1.0, abs(center))
     clean, anomalous = [], []
     for pair, ratio in zip(pairs, ratios):
         system = pair[0]
@@ -150,9 +154,8 @@ def detect_anomalies(pairs, k: float = 3.0):
         elif ratio is None:
             anomalous.append((pair, "direct/FLOP GPU-hour quotient outside the float range"))
         elif abs(ratio - center) > threshold:
-            anomalous.append(
-                (pair, f"log-ratio outlier: |{ratio:.4g} - median {center:.4g}| > {k}*MAD")
-            )
+            anomalous.append((pair, f"log-ratio outlier: |{ratio:.4g} - median {center:.4g}| "
+                                    f"> {MAD_LIMIT}*MAD"))
         else:
             clean.append(pair)
     return clean, anomalous

@@ -70,13 +70,12 @@ class ImpactVector(namedtuple("ImpactVector", ("gwp_kg", "adpe_kgsb"))):
     """(GWP kg, ADPe kgSb) pair of floats; components finite and never negative."""
 
     __slots__ = ()
-    COMPONENTS = ("gwp_kg", "adpe_kgsb")
 
     def __new__(cls, gwp_kg=0.0, adpe_kgsb=0.0):
-        return tuple.__new__(cls, _nonnegative(gwp_kg, adpe_kgsb, names=cls.COMPONENTS))
+        return tuple.__new__(cls, _nonnegative(gwp_kg, adpe_kgsb, names=cls._fields))
 
 
-def _nonnegative(*components: float, names=("energy_kwh", *ImpactVector.COMPONENTS)):
+def _nonnegative(*components: float, names=("energy_kwh", *ImpactVector._fields)):
     """The components of a total (or of the named metrics), once each is
     finite and >= 0."""
     for name, value in zip(names, components):
@@ -196,19 +195,16 @@ class ShareSummary(namedtuple("ShareSummary", (
     __slots__ = ()
 
 
-_FACTOR_ENTRIES = ("logic_per_cm2", "memory_per_gb", "board_base", "cpu_production")
-
-
 def load_impact_factors(path) -> ImpactFactors:
     data = read_json(path, LcaError, "impact-factor config")
     entries = {}
-    for key in _FACTOR_ENTRIES:
+    for key in ImpactFactors._fields:
         entry = data.get(key)
         if not isinstance(entry, dict):
             raise LcaError(f"impact-factor config {path}: entry {key!r} must be a JSON object")
         try:
             entries[key] = ImpactVector(
-                *(parse_number(entry.get(k), k, required=True) for k in ImpactVector.COMPONENTS)
+                *(parse_number(entry.get(k), k, required=True) for k in ImpactVector._fields)
             )
         except ValueError as exc:
             raise LcaError(f"impact-factor config {path}, entry {key!r}: {exc}") from None
@@ -219,7 +215,7 @@ def load_constants(path) -> LcaConstants:
     data = read_json(path, LcaError, "constants config")
     kwargs = {}
     try:
-        for name in ("pue", "lifespan_hours", "avg_lifetime_utilization", "training_usage"):
+        for name in LcaConstants._fields:
             if name in data:
                 entry = data[name]
                 value = entry.get("value") if isinstance(entry, dict) else entry
@@ -229,20 +225,18 @@ def load_constants(path) -> LcaConstants:
         raise LcaError(f"bad constants config {path}: {exc}") from None
 
 
-_MIX_COLUMNS = ("country", "carbon_intensity_g_per_kwh", "adpe_kgsb_per_kwh")
-
-
 def load_mix_table(path) -> dict[str, ElectricityMix]:
     """CSV `country,carbon_intensity_g_per_kwh,adpe_kgsb_per_kwh`, keyed by
     upper-cased country code; the world average uses code WLD."""
     mixes: dict[str, ElectricityMix] = {}
-    header, rows = read_csv(path, LcaError, "electricity mix table", _MIX_COLUMNS)
+    columns = ElectricityMix._fields
+    header, rows = read_csv(path, LcaError, "electricity mix table", columns)
     at = positions(header)
     for line, row in rows:
         code = row[at["country"]].strip().upper()
         try:
             mixes[code] = ElectricityMix(
-                code, *(parse_number(row[at[col]], col, required=True) for col in _MIX_COLUMNS[1:])
+                code, *(parse_number(row[at[col]], col, required=True) for col in columns[1:])
             )
         except ValueError as exc:
             raise LcaError(f"mix table {path}, line {line}, country {code!r}: {exc}") from None
@@ -286,7 +280,7 @@ def production_impact(card: CardSpec, factors: ImpactFactors) -> ImpactVector:
     logic, memory, board = factors.logic_per_cm2, factors.memory_per_gb, factors.board_base
     return _finite_production(card, (
         getattr(logic, k) * area + getattr(memory, k) * card.memory_gb + getattr(board, k)
-        for k in ImpactVector.COMPONENTS
+        for k in ImpactVector._fields
     ))
 
 
@@ -369,7 +363,7 @@ def _card_constants(card: CardSpec, server_profiles: ServerProfileTable, factors
         production = production_impact(card, factors)
         return server, _finite_production(card, (
             getattr(production, k) + getattr(factors.cpu_production, k) * server.cpus_per_gpu
-            for k in ImpactVector.COMPONENTS
+            for k in ImpactVector._fields
         ))
     except CannotEstimateError as exc:
         return server, exc
@@ -466,19 +460,20 @@ def scenario_gwp(impact: SystemImpact, ratio: float) -> float:
 def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
     """Distribution of embodied shares (percent of total) for GWP and ADPe.
 
-    impact_pairs is a list of (embodied, total) ImpactVector pairs with
-    embodied <= total component-wise. Rows whose total is zero for a metric
-    are excluded from that metric's summary and counted. Quartiles use
-    linear interpolation, as np.percentile does.
+    impact_pairs is a list of (embodied, total) pairs, each a (GWP, ADPe)
+    pair such as an ImpactVector, read by position, with embodied <= total
+    component-wise. Rows whose total is zero for a metric are excluded from
+    that metric's summary and counted. Quartiles use linear interpolation, as
+    np.percentile does.
     """
     pairs = list(impact_pairs)
     summaries = []
     total_excluded = 0
-    for metric in ImpactVector.COMPONENTS:
+    for i, metric in enumerate(ImpactVector._fields):
         shares = []
         excluded = 0
         for embodied, total in pairs:
-            e, t = getattr(embodied, metric), getattr(total, metric)
+            e, t = embodied[i], total[i]
             if e > t * (1 + 1e-12):
                 raise LcaError(f"embodied {metric} exceeds total: {e} > {t}")
             if t == 0:

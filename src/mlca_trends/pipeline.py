@@ -1,15 +1,16 @@
 """End-to-end pipeline: ingest -> merge -> eligibility -> bridge -> estimates
 -> impacts -> trends -> tables.
 
-Every stage is a plain function over the loaded bundle. A `Run` computes
-each stage at most once, when an output first needs it. `OUTPUTS` declares
-each output file once: the subcommand that writes it, whether the report
-writes it too, its CSV header and its rows or JSON payload. `run_pipeline`
-writes one subcommand's files through a `Run`, so a stage subcommand
-computes only the stages behind its own files. The trend and
-scenario stages return `Series` records (dated points and their fit), and one
-point-row and one trend-row builder write both series files. Outputs are
-deterministic: identical inputs and config produce byte-identical files.
+Every stage is a plain function over the tables it reads. A `Run` reads
+each input and computes each stage at most once, when an output first needs
+it. `OUTPUTS` declares each output file once: the subcommand that writes it,
+whether the report writes it too, its CSV header and its rows or JSON
+payload. `run_pipeline` writes one subcommand's files through a `Run`, so a
+stage subcommand reads only the inputs and computes only the stages behind
+its own files. The trend and scenario stages return `Series` records (dated
+points and their fit), and one point-row and one trend-row builder write both
+series files. Outputs are deterministic: identical inputs and config produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .errors import (
     UnresolvedCardError,
 )
 from .estimation import (
+    MAD_LIMIT,
     BridgeModel,
     detect_anomalies,
     estimate_gpu_hours,
@@ -61,7 +63,8 @@ from .estimation import (
 from .inputs import csv_line, format_cell, quote_cell
 from .inputs import write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
-    ImpactVector,
+    ImpactFactors,
+    ShareSummary,
     SystemImpact,
     embodied_share_table,
     load_constants,
@@ -152,19 +155,6 @@ class RunConfig(namedtuple("RunConfig", _RUN_FIELDS,
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class Bundle(namedtuple("Bundle", (
-        "workstation_cards", "full_catalog", "merge_report", "card_row_errors", "systems",
-        "system_row_errors", "mixes", "factors", "constants", "server_profiles",
-        "plausibility"))):
-    """Everything loaded and merged, shared read-only by the stages: the
-    workstation and full card lists, the MergeReport, the card and system
-    RowErrors, the SystemRecords, the mixes by country code, the
-    ImpactFactors, LcaConstants and ServerProfileTable, and the
-    plausibility config."""
-
-    __slots__ = ()
-
-
 class Series(namedtuple("Series", ("name", "points", "fit", "labels", "included"),
                         defaults=(None, None))):
     """Named (date, value) points in output order and their exponential trend
@@ -196,30 +186,6 @@ def _series(name, points, weighting, labels=None, included=None) -> Series:
 def _optional_cards(path, source):
     """(cards, row errors) of an optional card table; none without a file."""
     return ([], []) if path is None else parse_card_table(path, source)
-
-
-def load_bundle(config: RunConfig) -> Bundle:
-    cards_a, errors_a = parse_card_table(config.cards, "techpowerup")
-    cards_b, errors_b = _optional_cards(config.cards_alt, "wiki")
-    overrides = load_overrides(config.overrides) if config.overrides else None
-    workstation, report = merge_catalogs(cards_a, cards_b, overrides)
-    extra, errors_extra = _optional_cards(config.cards_extra, "other")
-    column_map = load_column_map(config.column_map) if config.column_map else None
-    systems, system_errors = parse_systems_table(config.systems, column_map)
-
-    return Bundle(
-        workstation_cards=workstation,
-        full_catalog=[*workstation, *extra],
-        merge_report=report,
-        card_row_errors=errors_a + errors_b + errors_extra,
-        systems=systems,
-        system_row_errors=system_errors,
-        mixes=load_mix_table(config.mixes),
-        factors=load_impact_factors(config.factors),
-        constants=load_constants(config.constants),
-        server_profiles=load_server_profiles(config.server_profiles),
-        plausibility=load_plausibility(config.plausibility),
-    )
 
 
 def fit_bridge_stage(eligible, card_refs) -> tuple[BridgeModel | None, dict]:
@@ -273,9 +239,10 @@ def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
     return rows, skipped
 
 
-def impact_stage(bundle: Bundle, estimate_rows):
-    """Impacts for every estimated system whose hardware resolved; each
-    card's constants are computed once for the whole pass."""
+def impact_stage(estimate_rows, mixes, server_profiles, factors, constants):
+    """Impacts for every estimated system whose hardware resolved, under the
+    tables system_impact reads; each card's constants are computed once for
+    the whole pass."""
     impacts: list[SystemImpact] = []
     skipped = []
     card_constants = {}
@@ -286,28 +253,18 @@ def impact_stage(bundle: Bundle, estimate_rows):
             )
             continue
         try:
-            impacts.append(
-                system_impact(
-                    system,
-                    estimate,
-                    card_ref,
-                    bundle.mixes,
-                    bundle.server_profiles,
-                    bundle.factors,
-                    bundle.constants,
-                    card_constants,
-                )
-            )
+            impacts.append(system_impact(system, estimate, card_ref, mixes, server_profiles,
+                                         factors, constants, card_constants))
         except (CannotEstimateError, UnknownCountryError, ValueError) as exc:
             # ValueError: a footprint overflowed to inf, which impacts reject
             skipped.append((system.name, str(exc)))
     return impacts, skipped
 
 
-def trend_stage(bundle: Bundle, impacts) -> list[Series]:
-    """All plot-ready series with their fits: card characteristics, card
-    production impacts, per-system footprints, hardware quantities."""
-    cards = bundle.workstation_cards
+def trend_stage(cards, factors, systems, impacts) -> list[Series]:
+    """All plot-ready series with their fits: the workstation cards'
+    characteristics and production impacts, per-system footprints, and the
+    systems' hardware quantities."""
     series = [
         (f"card_{name}", characteristic_series(cards, name), _CARD_TREND_WEIGHTING)
         for name in ("die_area", "process_node", "memory_size", "tdp")
@@ -315,7 +272,7 @@ def trend_stage(bundle: Bundle, impacts) -> list[Series]:
     production = []
     for card in sorted(cards, key=lambda c: (c.release_date, c.name)):
         try:
-            production.append((card.release_date, production_impact(card, bundle.factors)))
+            production.append((card.release_date, production_impact(card, factors)))
         except CannotEstimateError:
             continue
     for metric in ("gwp_kg", "adpe_kgsb"):
@@ -326,7 +283,7 @@ def trend_stage(bundle: Bundle, impacts) -> list[Series]:
         points = [(r.publication_date, getattr(r, metric).reference) for r in impacts]
         series.append((f"system_{metric}", points, _SYSTEM_TREND_WEIGHTING))
     quantified = sorted(
-        (s for s in bundle.systems if s.hardware_quantity is not None),
+        (s for s in systems if s.hardware_quantity is not None),
         key=lambda s: (s.publication_date, s.name),
     )
     points = [(s.publication_date, float(s.hardware_quantity)) for s in quantified]
@@ -356,36 +313,59 @@ def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> list[Series]:
 class Run:
     """One pipeline run over a config. Each stage is a cached property:
     computed on first use, at most once, so writing an output computes only
-    the stages that output reads."""
+    the stages that output reads. So is each input group that more than one
+    stage reads (cards, systems, factors); an input that one stage alone
+    reads is loaded in that stage's property, so a run reads only the inputs
+    of its outputs."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.output_files: list[str] = []
 
     @cached_property
-    def bundle(self) -> Bundle:
-        return load_bundle(self.config)
+    def cards(self):
+        """(workstation cards, full catalog (those and the extra cards),
+        MergeReport, card RowErrors)."""
+        config = self.config
+        cards_a, errors_a = parse_card_table(config.cards, "techpowerup")
+        cards_b, errors_b = _optional_cards(config.cards_alt, "wiki")
+        overrides = load_overrides(config.overrides) if config.overrides else None
+        workstation, report = merge_catalogs(cards_a, cards_b, overrides)
+        extra, errors_extra = _optional_cards(config.cards_extra, "other")
+        return workstation, [*workstation, *extra], report, errors_a + errors_b + errors_extra
+
+    @cached_property
+    def systems(self):
+        """(SystemRecords, system RowErrors), read through the column map if one is given."""
+        column_map = self.config.column_map
+        return parse_systems_table(self.config.systems,
+                                   load_column_map(column_map) if column_map else None)
+
+    @cached_property
+    def factors(self) -> ImpactFactors:
+        return load_impact_factors(self.config.factors)
 
     @cached_property
     def coverage(self):
-        return coverage_summary(self.bundle.systems)
+        return coverage_summary(self.systems[0])
 
     @cached_property
     def eligibility(self):
         """(eligible systems, [(excluded system, reason)])."""
-        return eligible_systems(self.bundle.systems)
+        return eligible_systems(self.systems[0])
 
     @cached_property
     def card_refs(self) -> dict[str, CardReference | None]:
         """One resolution per distinct hardware string of the eligible
         systems (each names one at most); None where no card matches."""
-        index = CardIndex(self.bundle.full_catalog)
+        index = CardIndex(self.cards[1])
+        plausibility = load_plausibility(self.config.plausibility)
         refs = {}
         for system in self.eligibility[0]:
             if system.hardware_names and system.hardware_names[0] not in refs:
                 name = system.hardware_names[0]
                 try:
-                    refs[name] = resolve_card_reference(name, index, self.bundle.plausibility)
+                    refs[name] = resolve_card_reference(name, index, plausibility)
                 except UnresolvedCardError:
                     refs[name] = None
         return refs
@@ -404,17 +384,19 @@ class Run:
     @cached_property
     def impacts(self):
         """(impacts under the real electricity mixes, skipped)."""
-        return impact_stage(self.bundle, self.estimates[0])
+        config = self.config
+        return impact_stage(self.estimates[0], load_mix_table(config.mixes),
+                            load_server_profiles(config.server_profiles), self.factors,
+                            load_constants(config.constants))
 
     @cached_property
     def trends(self):
-        return trend_stage(self.bundle, self.impacts[0])
+        return trend_stage(self.cards[0], self.factors, self.systems[0], self.impacts[0])
 
     @cached_property
     def shares(self):
         return embodied_share_table(
-            [(r.embodied_ref, ImpactVector(r.gwp_kg.reference, r.adpe_kgsb.reference))
-             for r in self.impacts[0]]
+            [(r.embodied_ref, (r.gwp_kg.reference, r.adpe_kgsb.reference)) for r in self.impacts[0]]
         )
 
     @cached_property
@@ -428,13 +410,13 @@ class Run:
         """Counts of the stages this run computed."""
         ran = vars(self)
         counts = {}
-        if "bundle" in ran:
-            b = self.bundle
-            counts.update(
-                cards_workstation=len(b.workstation_cards), cards_total=len(b.full_catalog),
-                cards_validated=b.merge_report.validated, card_row_errors=len(b.card_row_errors),
-                systems_total=len(b.systems), system_row_errors=len(b.system_row_errors),
-            )
+        if "cards" in ran:
+            workstation, catalog, report, errors = self.cards
+            counts.update(cards_workstation=len(workstation), cards_total=len(catalog),
+                          cards_validated=report.validated, card_row_errors=len(errors))
+        if "systems" in ran:
+            counts.update(systems_total=len(self.systems[0]),
+                          system_row_errors=len(self.systems[1]))
         if "eligibility" in ran:
             reasons = [reason for _, reason in self.eligibility[1]]
             counts.update(
@@ -502,7 +484,7 @@ def _bridge_payload(bridge: BridgeModel | None, counts: dict) -> dict:
         },
         "diagnostics": None if fit is None else diagnostics(bridge.log_flop_hours, fit.residuals),
         "counts": counts,
-        "anomaly_rule": "finetuned OR |log-ratio - median| > 3*MAD",
+        "anomaly_rule": f"finetuned OR |log-ratio - median| > {MAD_LIMIT:g}*MAD",
     }
 
 
@@ -558,11 +540,11 @@ def _trends_csv_rows(trends: list[Series]):
 # each row as one finished line (see inputs): an f-string for the estimate,
 # impact and point rows, which make up most of a report, csv_line for the rest.
 OUTPUTS = {
-    "catalog.csv": ("ingest", False, CARD_COLUMNS, lambda run: card_rows(run.bundle.full_catalog)),
+    "catalog.csv": ("ingest", False, CARD_COLUMNS, lambda run: card_rows(run.cards[1])),
     "systems_normalized.csv": ("ingest", False, SYSTEM_COLUMNS,
-                               lambda run: system_rows(run.bundle.systems)),
+                               lambda run: system_rows(run.systems[0])),
     "merge_report.json": ("ingest", False, None,
-                          lambda run: _merge_report_payload(run.bundle.merge_report)),
+                          lambda run: _merge_report_payload(run.cards[2])),
     "coverage.csv": ("coverage", True, ("row", *COVERAGE_METRICS),
                      lambda run: map(csv_line, run.coverage.csv_rows())),
     "coverage.json": ("coverage", False, None, lambda run: run.coverage.as_dict()),
@@ -592,9 +574,7 @@ OUTPUTS = {
         lambda run: _trends_csv_rows(run.trends),
     ),
     "embodied_shares.csv": (
-        "impacts", True, ("metric", "min", "q1", "median", "mean", "q3", "max", "n", "excluded"),
-        lambda run: (csv_line([s.metric, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.n,
-                               s.excluded]) for s in run.shares[0]),
+        "impacts", True, ShareSummary._fields, lambda run: map(csv_line, run.shares[0]),
     ),
     # written as scenario_<ratio>.csv; report writes it only when a ratio is
     # set. The points of both series, then both trend rows, fitted or not.

@@ -31,7 +31,14 @@ from mlca_trends.errors import ConfigError, PipelineError
 from mlca_trends.estimation import GpuHoursEstimate, fit_bridge
 from mlca_trends.inputs import format_cell
 from mlca_trends.intervals import EstimateInterval
-from mlca_trends.lca import ElectricityMix, ImpactVector, LcaConstants, ServerProfile
+from mlca_trends.lca import (
+    ElectricityMix,
+    ImpactVector,
+    LcaConstants,
+    ServerProfile,
+    load_constants,
+    load_server_profiles,
+)
 from mlca_trends.pipeline import (
     OUTPUTS,
     Run,
@@ -786,6 +793,19 @@ def scenario_report(tmp_path_factory):
     return out
 
 
+_CARD_INPUTS = ["--cards", "--cards-alt", "--cards-extra", "--overrides"]
+_LCA_INPUTS = ["--mixes", "--factors", "--constants", "--server-profiles"]
+# Subcommand -> the inputs it does not read, each of which may be malformed
+_UNREAD_INPUTS = {
+    "ingest": [*_LCA_INPUTS, "--plausibility"],
+    "coverage": [*_CARD_INPUTS, *_LCA_INPUTS, "--plausibility"],
+    "bridge": _LCA_INPUTS,
+    "estimate": _LCA_INPUTS,
+}
+# A malformed copy of each CSV input by its flag; of a JSON one, b"{"
+_MALFORMED_COPY = {"--mixes": b"country,ci,adpe\n", **dict.fromkeys(_CARD_INPUTS, b"name,tdp\n")}
+
+
 class TestStageSubcommands:
     @pytest.mark.parametrize(
         "command, files",
@@ -819,6 +839,30 @@ class TestStageSubcommands:
         assert main(["estimate", "--out", str(tmp_path / "estimate")]) == 0
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert "estimates" in counts and "impacts" not in counts
+
+    def test_coverage_reads_neither_the_cards_nor_the_impact_tables(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("input not read by this subcommand")
+
+        for name in ("parse_card_table", "merge_catalogs", "load_mix_table", "load_impact_factors",
+                     "load_constants", "load_server_profiles", "load_plausibility"):
+            monkeypatch.setattr(f"mlca_trends.pipeline.{name}", must_not_run)
+        assert main(["coverage", "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", list(_UNREAD_INPUTS))
+    def test_a_malformed_input_the_subcommand_does_not_read_changes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        assert main([command, "--out", str(tmp_path / "bundled")]) == 0
+        flags = []
+        for flag in _UNREAD_INPUTS[command]:
+            path = tmp_path / flag[2:]
+            path.write_bytes(_MALFORMED_COPY.get(flag, b"{"))
+            flags += [flag, str(path)]
+        assert main([command, "--out", str(tmp_path / "out"), *flags]) == 0
+        assert read_all(tmp_path / "out") == read_all(tmp_path / "bundled")
 
     def test_scenario_report_runs_one_impact_pass(self, tmp_path, monkeypatch, capsys):
         import mlca_trends.pipeline as pipeline
@@ -1235,12 +1279,15 @@ class TestRecords:
         run = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.1,
                             cards_alt=default_data_path("cards_wiki.csv"),
                             overrides=default_data_path("overrides.csv")))
-        bundle, (system, _, estimate), impact = run.bundle, run.estimates[0][0], run.impacts[0][0]
+        (system, _, estimate), impact = run.estimates[0][0], run.impacts[0][0]
+        _, catalog, merge_report, _ = run.cards
+        constants = load_constants(default_data_path("lca_constants.json"))
+        server_profiles = load_server_profiles(default_data_path("server_profiles.json"))
         series = next(s for s in run.trends if s.fit is not None)
         records = [
-            run.config, bundle, bundle.full_catalog[0], bundle.merge_report,
-            bundle.merge_report.divergent[0], RowError(2, "bad row"), bundle.constants,
-            bundle.factors, bundle.server_profiles, bundle.server_profiles.default,
+            run.config, catalog[0], merge_report, merge_report.divergent[0],
+            RowError(2, "bad row"), constants, run.factors, server_profiles,
+            server_profiles.default,
             next(ref for ref in run.card_refs.values() if ref is not None), system, run.coverage,
             run.coverage.counts, run.bridge[0], run.bridge[0].fit, estimate, estimate.interval,
             impact, impact.embodied_ref, impact.mix_ref, run.shares[0][0], series, series.fit,
@@ -1251,7 +1298,7 @@ class TestRecords:
                           if isinstance(value, type) and issubclass(value, tuple)
                           and value.__module__ == module.__name__}
         assert {type(record) for record in records} == record_classes
-        assert len(record_classes) == 24
+        assert len(record_classes) == 23
         for record in records:
             for field in record._fields:
                 with pytest.raises(AttributeError):

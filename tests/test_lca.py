@@ -140,7 +140,7 @@ class TestLoadImpactFactors:
         for value in (-1, "abc", 1e306):
             assert load_impact_factors(_with_entry_key(tmp_path, "energy_kwh", value)) == bundled
 
-    @pytest.mark.parametrize("key", ImpactVector.COMPONENTS)
+    @pytest.mark.parametrize("key", ImpactVector._fields)
     def test_non_finite_or_negative_factors_rejected(self, tmp_path, key):
         for value in (math.nan, math.inf, -1.0):
             with pytest.raises(LcaError, match=key):
