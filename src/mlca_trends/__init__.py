@@ -13,7 +13,6 @@ from .catalog import (  # noqa: F401
     CardReference,
     CardSpec,
     MergeReport,
-    characteristic_series,
     merge_catalogs,
     parse_card_table,
     resolve_card_reference,

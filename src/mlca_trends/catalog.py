@@ -9,7 +9,6 @@ set plus a reference pick driven by an explicit plausibility config.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 import re
 from collections import namedtuple
@@ -35,7 +34,6 @@ __all__ = [
     "load_overrides",
     "load_plausibility",
     "resolve_card_reference",
-    "characteristic_series",
 ]
 
 CARD_COLUMNS = [
@@ -57,8 +55,9 @@ _NUMBER_COLUMNS = [col for col in CARD_COLUMNS[3:] if col != "memory_type"]
 
 CARD_SOURCES = ("techpowerup", "wiki", "datasheet", "other")
 
-# Field names accepted wherever a card field is selected: each characteristic
-# by its spec-level name or its attribute name, and release_date.
+# Field names the override table accepts: each characteristic by its
+# spec-level name or its attribute name, and release_date. The characteristics
+# also name the card series of trends.csv (pipeline._TRENDS).
 _CHARACTERISTICS = {"die_area": "die_area_mm2", "process_node": "process_node_nm",
                     "memory_size": "memory_gb", "tdp": "tdp_w"}
 _FIELD_ALIASES = {**_CHARACTERISTICS,
@@ -369,24 +368,3 @@ def resolve_card_reference(query: str, catalog, plausibility=None) -> CardRefere
         candidates, key=lambda c: (c.release_date, c.normalized_name))
     return CardReference(query_name=query, candidates=tuple(candidates), reference=reference)
 
-
-def characteristic_series(catalog, field: str) -> list[tuple[dt.date, float]]:
-    """Chronological (release_date, value) pairs for one card characteristic.
-
-    field is one of die_area, process_node, memory_size, tdp (attribute
-    names are accepted too). Cards lacking the field are skipped. The result
-    feeds exp_trend directly.
-    """
-    attr = _FIELD_ALIASES.get(field)
-    if attr is None or attr == "release_date":
-        raise CatalogError(
-            f"unknown characteristic {field!r}; expected die_area, process_node, "
-            f"memory_size, or tdp"
-        )
-    points = [
-        (card.release_date, float(getattr(card, attr)), card.normalized_name)
-        for card in catalog
-        if getattr(card, attr) is not None
-    ]
-    points.sort(key=lambda item: (item[0], item[2]))
-    return [(d, v) for d, v, _ in points]

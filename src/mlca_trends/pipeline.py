@@ -7,10 +7,11 @@ it. `OUTPUTS` declares each output file once: the subcommand that writes it,
 whether the report writes it too, its CSV header and its rows or JSON
 payload. `run_pipeline` writes one subcommand's files through a `Run`, so a
 stage subcommand reads only the inputs and computes only the stages behind
-its own files. The trend and scenario stages return `Series` records (dated
-points and their fit), and one point-row and one trend-row builder write both
-series files. Outputs are deterministic: identical inputs and config produce
-byte-identical files.
+its own files. `_TRENDS` declares each trends.csv series once, so a new
+series is one entry. The trend and scenario stages return `Series` records
+(dated points and their fit), and one point-row and one trend-row builder
+write both series files. Outputs are deterministic: identical inputs and
+config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,16 +26,17 @@ import tempfile
 from collections import namedtuple
 from functools import cache, cached_property
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
 from .catalog import (
+    _CHARACTERISTICS,
     CARD_COLUMNS,
     CardIndex,
     CardReference,
     MergeReport,
     card_rows,
-    characteristic_series,
     load_overrides,
     load_plausibility,
     merge_catalogs,
@@ -64,6 +66,7 @@ from .inputs import csv_line, format_cell, quote_cell
 from .inputs import write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
     ImpactFactors,
+    ImpactVector,
     ShareSummary,
     SystemImpact,
     embodied_share_table,
@@ -97,7 +100,7 @@ __all__ = [
 
 # Trend weighting follows the figure methodology: per-system quantities and
 # footprints are fitted with feasible WLS (heteroscedastic), card
-# characteristics with plain OLS.
+# characteristics and production impacts with plain OLS.
 _SYSTEM_TREND_WEIGHTING = "feasible_wls"
 _CARD_TREND_WEIGHTING = "ols"
 
@@ -261,34 +264,52 @@ def impact_stage(estimate_rows, mixes, server_profiles, factors, constants):
     return impacts, skipped
 
 
+# Each trends.csv series in output order: (name, weighting, the date-ordered
+# table of trend_stage it reads, record -> its value, None for no point). A
+# new series is one entry.
+_TRENDS = (
+    *((f"card_{name}", _CARD_TREND_WEIGHTING, "cards", attrgetter(field))
+      for name, field in _CHARACTERISTICS.items()),
+    *((f"card_production_{metric}", _CARD_TREND_WEIGHTING, "production", attrgetter(metric))
+      for metric in ImpactVector._fields),
+    *((f"system_{metric}", _SYSTEM_TREND_WEIGHTING, "impacts", attrgetter(f"{metric}.reference"))
+      for metric in ("energy_kwh", *ImpactVector._fields)),
+    ("hardware_quantity", _SYSTEM_TREND_WEIGHTING, "systems",
+     lambda system: float(system.hardware_quantity)),
+)
+
+
+def _dated(records, date: str, tie: str):
+    """(dates, records): the records in (date, tie) order, and their dates.
+    Two stable sorts, by tie and then by date, compare faster than tuples."""
+    records = sorted(records, key=attrgetter(tie))
+    records.sort(key=attrgetter(date))
+    return list(map(attrgetter(date), records)), records
+
+
 def trend_stage(cards, factors, systems, impacts) -> list[Series]:
-    """All plot-ready series with their fits: the workstation cards'
-    characteristics and production impacts, per-system footprints, and the
-    systems' hardware quantities."""
-    series = [
-        (f"card_{name}", characteristic_series(cards, name), _CARD_TREND_WEIGHTING)
-        for name in ("die_area", "process_node", "memory_size", "tdp")
-    ]
-    production = []
-    for card in sorted(cards, key=lambda c: (c.release_date, c.name)):
-        try:
-            production.append((card.release_date, production_impact(card, factors)))
-        except CannotEstimateError:
-            continue
-    for metric in ("gwp_kg", "adpe_kgsb"):
-        points = [(date, getattr(impact, metric)) for date, impact in production]
-        series.append((f"card_production_{metric}", points, _CARD_TREND_WEIGHTING))
-    impacts = sorted(impacts, key=lambda r: (r.publication_date, r.system_name))
-    for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
-        points = [(r.publication_date, getattr(r, metric).reference) for r in impacts]
-        series.append((f"system_{metric}", points, _SYSTEM_TREND_WEIGHTING))
-    quantified = sorted(
-        (s for s in systems if s.hardware_quantity is not None),
-        key=lambda s: (s.publication_date, s.name),
-    )
-    points = [(s.publication_date, float(s.hardware_quantity)) for s in quantified]
-    series.append(("hardware_quantity", points, _SYSTEM_TREND_WEIGHTING))
-    return [_series(name, points, weighting) for name, points, weighting in series]
+    """Every _TRENDS series with its fit, over four date-ordered tables: the
+    workstation cards, their production impacts (cards without one left out),
+    the impacts, and the systems with a hardware quantity. Same-date cards
+    are in normalized-name order, their production impacts in name order."""
+    released, production = [], []
+    for card in _dated(cards, "release_date", "name")[1]:
+        with contextlib.suppress(CannotEstimateError):
+            production.append(production_impact(card, factors))
+            released.append(card.release_date)
+    tables = {
+        "cards": _dated(cards, "release_date", "normalized_name"),
+        "production": (released, production),
+        "impacts": _dated(impacts, "publication_date", "system_name"),
+        "systems": _dated([s for s in systems if s.hardware_quantity is not None],
+                          "publication_date", "name"),
+    }
+    series = []
+    for name, weighting, table, value in _TRENDS:
+        dates, records = tables[table]
+        points = [(d, v) for d, v in zip(dates, map(value, records)) if v is not None]
+        series.append(_series(name, points, weighting))
+    return series
 
 
 def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> list[Series]:

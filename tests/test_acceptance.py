@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlca_trends.catalog import CARD_COLUMNS, CardReference
+from mlca_trends.catalog import CARD_COLUMNS, CardReference, parse_card_table
 from mlca_trends.cli import main
 from mlca_trends.estimation import fit_bridge, gpu_hours_direct
 from mlca_trends.lca import (
@@ -30,7 +30,7 @@ from mlca_trends.lca import (
     training_energy,
     usage_impact,
 )
-from mlca_trends.pipeline import Run, RunConfig, default_data_path
+from mlca_trends.pipeline import Run, RunConfig, default_data_path, trend_stage
 from mlca_trends.stats import (
     breusch_pagan_studentized,
     durbin_watson,
@@ -39,7 +39,6 @@ from mlca_trends.stats import (
     wls_fit,
 )
 from mlca_trends.systems import SystemRecord, coverage_summary, eligible_systems
-from mlca_trends.catalog import characteristic_series, parse_card_table
 from tests.conftest import make_card
 
 
@@ -360,8 +359,9 @@ def test_criterion_09_trend_suite():
         default_data_path("cards_nvidia_workstation.csv"), "techpowerup"
     )
     assert errors == []
-    series = characteristic_series(cards, "memory_size")
-    memory_fit = exp_trend(series)
+    factors = load_impact_factors(default_data_path("impact_factors.json"))
+    memory = [s for s in trend_stage(cards, factors, [], []) if s.name == "card_memory_size"]
+    memory_fit = memory[0].fit
     assert 25.0 <= memory_fit.cagr_pct <= 35.0
     _report(
         9,

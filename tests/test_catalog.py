@@ -12,7 +12,6 @@ from mlca_trends.catalog import (
     CardReference,
     CardSpec,
     card_rows,
-    characteristic_series,
     contains_tokens,
     load_overrides,
     load_plausibility,
@@ -207,11 +206,13 @@ class TestOverridesLoader:
     def test_load_and_aliases(self, tmp_path):
         path = tmp_path / "overrides.csv"
         path.write_text(
-            "name,field,value\nTesla K40,tdp,235\nTesla K40,release_date,2013-10-08\n",
+            "name,field,value\nTesla K40,tdp,235\nTesla K40,release_date,2013-10-08\n"
+            "Tesla K80,tdp_w,300\n",
             encoding="utf-8",
         )
         overrides = load_overrides(path)
         assert overrides[("tesla k40", "tdp_w")] == 235.0
+        assert overrides[("tesla k80", "tdp_w")] == 300.0
         assert overrides[("tesla k40", "release_date")] == dt.date(2013, 10, 8)
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -398,33 +399,6 @@ class TestIndexedResolveEqualsTheScan:
             ref = resolve_card_reference(query, index)
             assert len(calls) == len(postings) < len(a100_catalog)
             assert ref.candidates == tuple(postings)
-
-
-class TestCharacteristicSeries:
-    def test_projection_in_date_order(self):
-        cards = [
-            make_card("C", release_date=dt.date(2022, 1, 1), memory_gb=32.0),
-            make_card("A", release_date=dt.date(2020, 1, 1), memory_gb=8.0),
-            make_card("B", release_date=dt.date(2021, 1, 1), memory_gb=16.0),
-        ]
-        series = characteristic_series(cards, "memory_size")
-        assert series == [
-            (dt.date(2020, 1, 1), 8.0),
-            (dt.date(2021, 1, 1), 16.0),
-            (dt.date(2022, 1, 1), 32.0),
-        ]
-
-    def test_cards_missing_field_skipped(self):
-        cards = [make_card("A"), make_card("B", die_area_mm2=None)]
-        assert len(characteristic_series(cards, "die_area")) == 1
-
-    def test_attribute_alias_accepted(self):
-        cards = [make_card("A", tdp_w=123.0)]
-        assert characteristic_series(cards, "tdp_w") == characteristic_series(cards, "tdp")
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(CatalogError, match="unknown characteristic"):
-            characteristic_series([make_card("A")], "price")
 
 
 def test_bundled_catalog_roundtrip(tmp_path):

@@ -36,8 +36,11 @@ from mlca_trends.lca import (
     ImpactVector,
     LcaConstants,
     ServerProfile,
+    SystemImpact,
     load_constants,
+    load_impact_factors,
     load_server_profiles,
+    production_impact,
 )
 from mlca_trends.pipeline import (
     OUTPUTS,
@@ -433,6 +436,63 @@ class TestSeriesLayouts:
             clean = next(r for r in points if r["system"] == "Clean")
             assert (float(clean["gwp_kg"]), clean["included"]) == (0.0, "true")
             assert (trend["n_used"], trend["n_excluded_floor"]) == ("3", "0")
+
+
+class TestTrendStage:
+    """The series of trend_stage: their date order, the records each one
+    leaves out, and the order of records that share a date."""
+
+    factors = load_impact_factors(default_data_path("impact_factors.json"))
+
+    def _points(self, cards):
+        return {s.name: s.points for s in pipeline.trend_stage(cards, self.factors, [], [])}
+
+    def test_card_points_in_date_order(self):
+        cards = [
+            make_card("C", release_date=dt.date(2022, 1, 1), memory_gb=32.0),
+            make_card("A", release_date=dt.date(2020, 1, 1), memory_gb=8.0),
+            make_card("B", release_date=dt.date(2021, 1, 1), memory_gb=16.0),
+        ]
+        assert self._points(cards)["card_memory_size"] == [
+            (dt.date(2020, 1, 1), 8.0),
+            (dt.date(2021, 1, 1), 16.0),
+            (dt.date(2022, 1, 1), 32.0),
+        ]
+
+    def test_cards_missing_a_field_leave_its_series(self):
+        points = self._points([make_card("A"), make_card("B", die_area_mm2=None)])
+        assert len(points["card_die_area"]) == 1
+        assert len(points["card_production_gwp_kg"]) == 1  # no die area, no production impact
+        assert len(points["card_memory_size"]) == 2
+
+    def test_same_date_cards(self):
+        """Characteristics follow the normalized names, production impacts the
+        names as given: the two orders differ for these three cards."""
+        cards = [make_card(name, release_date=dt.date(2018, 3, 27), die_area_mm2=area)
+                 for name, area in (("Tesla V100", 815.0), ("TITAN V", 800.0),
+                                    ("Quadro GV100", 810.0))]
+        points = self._points(cards)
+        assert [v for _, v in points["card_die_area"]] == [810.0, 815.0, 800.0]
+        by_name = {c.name: production_impact(c, self.factors).gwp_kg for c in cards}
+        assert [v for _, v in points["card_production_gwp_kg"]] == [
+            by_name[name] for name in ("Quadro GV100", "TITAN V", "Tesla V100")]
+
+    def test_same_date_systems_and_impacts_in_name_order(self):
+        """Systems and impacts of one date follow their names; a system
+        without a hardware quantity has no hardware_quantity point."""
+        day, later = dt.date(2021, 5, 1), dt.date(2022, 1, 1)
+        systems = [SystemRecord(name, date, hardware_quantity=quantity)
+                   for name, date, quantity in (("Zeta", day, 3), ("Late", later, 4),
+                                                ("Alpha", day, 1), ("Mid", day, None),
+                                                ("Beta", day, 2))]
+        impacts = [SystemImpact(s.name, s.publication_date,
+                                *[EstimateInterval.degenerate(float(i))] * 3, None, "direct", None)
+                   for i, s in enumerate(systems, 1)]
+        points = {s.name: s.points
+                  for s in pipeline.trend_stage([], self.factors, systems, impacts)}
+        assert points["hardware_quantity"] == [(day, 1.0), (day, 2.0), (day, 3.0), (later, 4.0)]
+        assert points["system_gwp_kg"] == [(day, 3.0), (day, 5.0), (day, 4.0), (day, 1.0),
+                                           (later, 2.0)]
 
 
 def _zero_floor_config(tmp_path: Path) -> RunConfig:
