@@ -115,6 +115,12 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def float_cells(count: int):
+    """A formatter of `count` floats as that many joined cells, each written as
+    format_cell writes a float, without a call per cell."""
+    return ",".join(["{:.12g}"] * count).format
+
+
 def quote_cell(cell: str) -> str:
     """A text cell, in double quotes with each " doubled if it holds `,`, `"`,
     CR or LF: the csv module's minimal quoting in a row of two or more cells."""

@@ -12,10 +12,12 @@ results stay comparable with card-only accounting.
 
 The model is stated once, in plain floats: `production_impact`,
 `amortized_cards`, `training_energy` and `usage_impact` are its formulas, and
-`system_impact` combines them in their order. `ImpactVector` is a validated
-record with no arithmetic. What depends on the card alone, its server profile
-and production-plus-CPU vector, is computed once per card for a whole
-`impact_stage` pass.
+`system_impact` combines them in their order into one system's 11 floats
+(`IMPACT_COLUMNS`). An `ImpactTable` holds a pass's impacts as columns: an
+array of each of those floats, beside lists of the names, dates, methods and
+reference mixes. `ImpactVector` is a validated record with no arithmetic.
+What depends on the card alone, its server profile and production-plus-CPU
+vector, is computed once per card for a whole `impact_stage` pass.
 
 A carbon-intensity scenario multiplies a mix's intensity by (1-ratio)^n,
 n being the whole years since 2019 at system release, with ratio in [0, 1].
@@ -34,7 +36,6 @@ from functools import cached_property
 from .catalog import CardReference, CardSpec, contains_tokens, normalize_name
 from .errors import CannotEstimateError, LcaError, UnknownCountryError
 from .inputs import parse_count, parse_number, positions, read_csv, read_json
-from .intervals import EstimateInterval
 from .stats import quartiles
 
 __all__ = [
@@ -46,7 +47,8 @@ __all__ = [
     "ServerProfileTable",
     "ElectricityMix",
     "LcaConstants",
-    "SystemImpact",
+    "IMPACT_COLUMNS",
+    "ImpactTable",
     "ShareSummary",
     "load_mix_table",
     "load_impact_factors",
@@ -175,14 +177,18 @@ class LcaConstants(namedtuple("LcaConstants", (
         return self.lifespan_hours * self.avg_lifetime_utilization
 
 
-class SystemImpact(namedtuple("SystemImpact", (
-        "system_name", "publication_date", "energy_kwh", "gwp_kg", "adpe_kgsb", "embodied_ref",
-        "method", "mix_ref"))):
-    """Per-metric impact intervals (EstimateInterval) for one system, named
-    and dated, plus the reference-phase split (embodied_ref, an
-    ImpactVector), the estimate's method and the reference mix (mix_ref, the
-    first-listed country's ElectricityMix), which a carbon-intensity
-    scenario reprices."""
+# The floats of one system's impacts, in impacts.csv order: the min, reference
+# and max total of each metric, then the reference's embodied GWP and ADPe.
+IMPACT_COLUMNS = (*(f"{metric}_{end}" for metric in ("energy_kwh", *ImpactVector._fields)
+                    for end in ("min", "ref", "max")), "embodied_gwp_ref", "embodied_adpe_ref")
+
+
+class ImpactTable(namedtuple("ImpactTable", ("system", "date", *IMPACT_COLUMNS, "method",
+                                             "mix_ref"))):
+    """The impacts of a pass as columns, one entry per system: its name, its
+    date, an array('d') per IMPACT_COLUMNS entry, the estimate's method and
+    the reference mix (the first-listed country's ElectricityMix), which a
+    carbon-intensity scenario reprices."""
 
     __slots__ = ()
 
@@ -378,8 +384,9 @@ def system_impact(
     factors: ImpactFactors,
     constants: LcaConstants,
     card_constants: dict | None = None,
-) -> SystemImpact:
-    """Total impacts of one training run, with ambiguity intervals.
+) -> tuple[tuple, ElectricityMix]:
+    """Total impacts of one training run, with ambiguity intervals: its
+    IMPACT_COLUMNS floats and its reference mix.
 
     The reference value combines the reference card with the first-listed
     country's mix; the interval is the component-wise envelope over the
@@ -435,58 +442,43 @@ def system_impact(
         )
     ref_energy, ref_gwp, ref_adpe = totals[ref_key]
     energies, gwps, adpes = zip(*totals.values())
-    return SystemImpact(
-        system_name=system.name,
-        publication_date=system.publication_date,
-        energy_kwh=EstimateInterval(min(energies), ref_energy, max(energies)),
-        gwp_kg=EstimateInterval(min(gwps), ref_gwp, max(gwps)),
-        adpe_kgsb=EstimateInterval(min(adpes), ref_adpe, max(adpes)),
-        embodied_ref=ImpactVector(*embodied_by_card[card_ref.reference.name]),
-        method=estimate.method,
-        mix_ref=mixes[countries[0]],
-    )
+    # Every total is checked finite and >= 0 and the reference is one of them,
+    # so min <= ref <= max; the embodied part lies within the reference total,
+    # so it is finite and >= 0 too.
+    return ((min(energies), ref_energy, max(energies), min(gwps), ref_gwp, max(gwps),
+             min(adpes), ref_adpe, max(adpes), *embodied_by_card[card_ref.reference.name]),
+            mixes[countries[0]])
 
 
-def scenario_gwp(impact: SystemImpact, ratio: float) -> float:
-    """Reference GWP (kg) of a system under a carbon-intensity reduction of
-    `ratio`: only the usage phase of its reference card and first country is
-    repriced, and the embodied impacts stay as they are."""
-    intensity = apply_ci_scenario(
-        impact.mix_ref.carbon_intensity_g_per_kwh, ratio, impact.publication_date.year
-    )
-    return impact.energy_kwh.reference * intensity / 1000.0 + impact.embodied_ref.gwp_kg
+def scenario_gwp(energy_kwh: float, embodied_gwp_kg: float, mix: ElectricityMix, year: int,
+                 ratio: float) -> float:
+    """Reference GWP (kg) of a system released in `year` under a
+    carbon-intensity reduction of `ratio`: only the usage phase of its
+    reference energy under its reference mix is repriced, and the embodied
+    GWP stays as it is."""
+    intensity = apply_ci_scenario(mix.carbon_intensity_g_per_kwh, ratio, year)
+    return energy_kwh * intensity / 1000.0 + embodied_gwp_kg
 
 
-def embodied_share_table(impact_pairs) -> tuple[list[ShareSummary], int]:
+def embodied_share_table(embodied, totals) -> tuple[list[ShareSummary], int]:
     """Distribution of embodied shares (percent of total) for GWP and ADPe.
 
-    impact_pairs is a list of (embodied, total) pairs, each a (GWP, ADPe)
-    pair such as an ImpactVector, read by position, with embodied <= total
-    component-wise. Rows whose total is zero for a metric are excluded from
-    that metric's summary and counted. Quartiles use linear interpolation, as
-    np.percentile does.
+    embodied and totals are (GWP, ADPe) pairs of columns of equal length,
+    with embodied <= total row by row. Rows whose total is zero for a metric
+    are excluded from that metric's summary and counted. Quartiles use
+    linear interpolation, as np.percentile does.
     """
-    pairs = list(impact_pairs)
     summaries = []
-    total_excluded = 0
-    for i, metric in enumerate(ImpactVector._fields):
-        shares = []
-        excluded = 0
-        for embodied, total in pairs:
-            e, t = embodied[i], total[i]
+    for metric, embodied_column, total_column in zip(ImpactVector._fields, embodied, totals):
+        for e, t in zip(embodied_column, total_column):
             if e > t * (1 + 1e-12):
                 raise LcaError(f"embodied {metric} exceeds total: {e} > {t}")
-            if t == 0:
-                excluded += 1
-                continue
-            shares.append(100.0 * e / t)
+        shares = [100.0 * e / t for e, t in zip(embodied_column, total_column) if t != 0]
         if shares:
             q1, median, q3 = quartiles(shares)
             values = (min(shares), q1, median, math.fsum(shares) / len(shares), q3, max(shares))
         else:
             values = (math.nan,) * 6
-        summaries.append(
-            ShareSummary(metric, *values, n=len(shares), excluded=excluded)
-        )
-        total_excluded += excluded
-    return summaries, total_excluded
+        summaries.append(ShareSummary(metric, *values, n=len(shares),
+                                      excluded=len(total_column) - len(shares)))
+    return summaries, sum(summary.excluded for summary in summaries)

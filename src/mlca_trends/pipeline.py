@@ -7,11 +7,14 @@ it. `OUTPUTS` declares each output file once: the subcommand that writes it,
 whether the report writes it too, its CSV header and its rows or JSON
 payload. `run_pipeline` writes one subcommand's files through a `Run`, so a
 stage subcommand reads only the inputs and computes only the stages behind
-its own files. `_TRENDS` declares each trends.csv series once, so a new
-series is one entry. The trend and scenario stages return `Series` records
-(dated points and their fit), and one point-row and one trend-row builder
-write both series files. Outputs are deterministic: identical inputs and
-config produce byte-identical files.
+its own files. The impact stage fills one `ImpactTable` of columns.
+`_TRENDS` declares each trends.csv series once, so a new series is one
+entry; `trend_stage` sorts each table once, into a permutation, and fits its
+series over one shared x, its dates converted and centred once. The trend
+and scenario stages return `Series` records (point dates and values as
+columns, and their fit), and one point-row and one trend-row builder write
+both series files. Outputs are deterministic: identical inputs and config
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import os
 import shutil
 import sys
 import tempfile
+from array import array
 from collections import namedtuple
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 from pathlib import Path
 
@@ -62,13 +66,14 @@ from .estimation import (
     flop_hours,
     gpu_hours_direct,
 )
-from .inputs import csv_line, format_cell, quote_cell
+from .inputs import csv_line, float_cells, format_cell, quote_cell
 from .inputs import write_csv as _write_csv  # the name clibench's tracer wraps
 from .lca import (
+    IMPACT_COLUMNS,
     ImpactFactors,
+    ImpactTable,
     ImpactVector,
     ShareSummary,
-    SystemImpact,
     embodied_share_table,
     load_constants,
     load_impact_factors,
@@ -78,7 +83,7 @@ from .lca import (
     scenario_gwp,
     system_impact,
 )
-from .stats import diagnostics, exp_trend, to_fractional_year
+from .stats import SharedX, diagnostics, exp_trend, to_fractional_year
 from .systems import (
     COVERAGE_METRICS,
     SYSTEM_COLUMNS,
@@ -158,12 +163,12 @@ class RunConfig(namedtuple("RunConfig", _RUN_FIELDS,
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class Series(namedtuple("Series", ("name", "points", "fit", "labels", "included"),
+class Series(namedtuple("Series", ("name", "dates", "values", "fit", "labels", "included"),
                         defaults=(None, None))):
-    """Named (date, value) points in output order and their exponential trend
-    fit (a TrendFit), None when it cannot be fitted. A series filtered before
-    its fit (the scenario pair) also holds each point's label and whether the
-    filter kept it, in two lists."""
+    """Named points in output order, their dates and values as two columns,
+    and their exponential trend fit (a TrendFit), None when it cannot be
+    fitted. A series filtered before its fit (the scenario pair) also holds
+    each point's label and whether the filter kept it, in two lists."""
 
     __slots__ = ()
 
@@ -176,14 +181,15 @@ class Series(namedtuple("Series", ("name", "points", "fit", "labels", "included"
         return self.included.count(False)
 
 
-def _series(name, points, weighting, labels=None, included=None) -> Series:
-    """The series with its fit over the included points, if exp_trend can fit them."""
-    kept = points if included is None else [p for p, keep in zip(points, included) if keep]
+def _series(name, dates, values, weighting, x=None, labels=None, included=None) -> Series:
+    """The series with its fit over the included points, if exp_trend can fit
+    them: over x, the SharedX of all the dates, when it is given."""
+    points = zip(dates, values) if included is None else compress(zip(dates, values), included)
     try:
-        fit = exp_trend(kept, weighting=weighting)
+        fit = exp_trend(points, weighting) if x is None else exp_trend(values, weighting, x)
     except StatsError:
         fit = None  # too few positive points or degenerate; points still emitted
-    return Series(name, points, fit, labels, included)
+    return Series(name, dates, values, fit, labels, included)
 
 
 def _optional_cards(path, source):
@@ -243,10 +249,11 @@ def estimate_stage(eligible, card_refs, bridge, apply_bridge: bool):
 
 
 def impact_stage(estimate_rows, mixes, server_profiles, factors, constants):
-    """Impacts for every estimated system whose hardware resolved, under the
-    tables system_impact reads; each card's constants are computed once for
-    the whole pass."""
-    impacts: list[SystemImpact] = []
+    """(ImpactTable, skipped): the impacts of every estimated system whose
+    hardware resolved, under the tables system_impact reads; each card's
+    constants are computed once for the whole pass."""
+    names, dates, methods, mixes_ref = [], [], [], []
+    values = array("d")  # the IMPACT_COLUMNS floats of each impact in turn
     skipped = []
     card_constants = {}
     for system, card_ref, estimate in estimate_rows:
@@ -256,78 +263,100 @@ def impact_stage(estimate_rows, mixes, server_profiles, factors, constants):
             )
             continue
         try:
-            impacts.append(system_impact(system, estimate, card_ref, mixes, server_profiles,
-                                         factors, constants, card_constants))
+            impact, mix = system_impact(system, estimate, card_ref, mixes, server_profiles,
+                                        factors, constants, card_constants)
         except (CannotEstimateError, UnknownCountryError, ValueError) as exc:
             # ValueError: a footprint overflowed to inf, which impacts reject
             skipped.append((system.name, str(exc)))
-    return impacts, skipped
+            continue
+        values.extend(impact)
+        names.append(system.name)
+        dates.append(system.publication_date)
+        methods.append(estimate.method)
+        mixes_ref.append(mix)
+    width = len(IMPACT_COLUMNS)
+    columns = (values[i::width] for i in range(width))
+    return ImpactTable(names, dates, *columns, methods, mixes_ref), skipped
 
 
-# Each trends.csv series in output order: (name, weighting, the date-ordered
-# table of trend_stage it reads, record -> its value, None for no point). A
-# new series is one entry.
+# Each trends.csv series in output order: (name, weighting, the table of
+# trend_stage it reads, record -> its value, None for no point; or, for the
+# impact table, table -> its column). A new series is one entry.
 _TRENDS = (
     *((f"card_{name}", _CARD_TREND_WEIGHTING, "cards", attrgetter(field))
       for name, field in _CHARACTERISTICS.items()),
     *((f"card_production_{metric}", _CARD_TREND_WEIGHTING, "production", attrgetter(metric))
       for metric in ImpactVector._fields),
-    *((f"system_{metric}", _SYSTEM_TREND_WEIGHTING, "impacts", attrgetter(f"{metric}.reference"))
+    *((f"system_{metric}", _SYSTEM_TREND_WEIGHTING, "impacts", attrgetter(f"{metric}_ref"))
       for metric in ("energy_kwh", *ImpactVector._fields)),
     ("hardware_quantity", _SYSTEM_TREND_WEIGHTING, "systems",
      lambda system: float(system.hardware_quantity)),
 )
 
 
-def _dated(records, date: str, tie: str):
-    """(dates, records): the records in (date, tie) order, and their dates.
-    Two stable sorts, by tie and then by date, compare faster than tuples."""
-    records = sorted(records, key=attrgetter(tie))
-    records.sort(key=attrgetter(date))
-    return list(map(attrgetter(date), records)), records
+def _dated(table, dates, ties):
+    """(table, permutation, dates, SharedX): the table's rows in (date, tie)
+    order as a permutation, with the dates in that order and their x. Two
+    stable sorts, by tie and then by date, compare faster than tuples."""
+    order = sorted(range(len(dates)), key=ties.__getitem__)
+    order.sort(key=dates.__getitem__)
+    dates = list(map(dates.__getitem__, order))
+    return table, order, dates, SharedX("d", map(to_fractional_year, dates))
 
 
-def trend_stage(cards, factors, systems, impacts) -> list[Series]:
+def trend_stage(cards, factors, systems, impacts: ImpactTable) -> list[Series]:
     """Every _TRENDS series with its fit, over four date-ordered tables: the
     workstation cards, their production impacts (cards without one left out),
     the impacts, and the systems with a hardware quantity. Same-date cards
-    are in normalized-name order, their production impacts in name order."""
-    released, production = [], []
-    for card in _dated(cards, "release_date", "name")[1]:
+    are in normalized-name order, their production impacts in name order.
+    A series without a point on every row of its table gets its own x."""
+    produced, production = [], []
+    for card in cards:
         with contextlib.suppress(CannotEstimateError):
             production.append(production_impact(card, factors))
-            released.append(card.release_date)
+            produced.append(card)
+    systems = [s for s in systems if s.hardware_quantity is not None]
     tables = {
-        "cards": _dated(cards, "release_date", "normalized_name"),
-        "production": (released, production),
-        "impacts": _dated(impacts, "publication_date", "system_name"),
-        "systems": _dated([s for s in systems if s.hardware_quantity is not None],
-                          "publication_date", "name"),
+        "cards": _dated(cards, [c.release_date for c in cards],
+                        [c.normalized_name for c in cards]),
+        "production": _dated(production, [c.release_date for c in produced],
+                             [c.name for c in produced]),
+        "impacts": _dated(impacts, impacts.date, impacts.system),
+        "systems": _dated(systems, [s.publication_date for s in systems],
+                          [s.name for s in systems]),
     }
     series = []
     for name, weighting, table, value in _TRENDS:
-        dates, records = tables[table]
-        points = [(d, v) for d, v in zip(dates, map(value, records)) if v is not None]
-        series.append(_series(name, points, weighting))
+        records, order, dates, x = tables[table]
+        if isinstance(records, ImpactTable):
+            values = array("d", map(value(records).__getitem__, order))
+        else:
+            values = [value(records[i]) for i in order]
+            if None in values:
+                kept = [v is not None for v in values]
+                dates, values, x = list(compress(dates, kept)), list(compress(values, kept)), None
+        series.append(_series(name, dates, values, weighting, x))
     return series
 
 
-def _scenario_from_rows(impacts_real, ratio, gwp_floor) -> list[Series]:
+def _scenario_from_rows(impacts: ImpactTable, ratio, gwp_floor) -> list[Series]:
     """The [real, scenario] footprints of post-2019 systems, in impact order.
 
     The real series is the run's impacts; the scenario series reprices each
     one's reference usage phase. Each series fits only the systems whose
     footprint reaches the floor, and counts the others in n_excluded.
     """
-    post = [r for r in impacts_real if r.publication_date.year >= 2019]
+    post = [i for i, date in enumerate(impacts.date) if date.year >= 2019]
     if not post:
         raise PipelineError("no post-2019 systems; scenario comparison is empty")
-    labels = [r.system_name for r in post]
-    real = [(r.publication_date, r.gwp_kg.reference) for r in post]
-    reduced = [(r.publication_date, scenario_gwp(r, ratio)) for r in post]
+    labels, dates, real = ([column[i] for i in post]
+                           for column in (impacts.system, impacts.date, impacts.gwp_kg_ref))
+    reduced = [scenario_gwp(impacts.energy_kwh_ref[i], impacts.embodied_gwp_ref[i],
+                            impacts.mix_ref[i], impacts.date[i].year, ratio) for i in post]
     return [
-        _series(name, points, _SYSTEM_TREND_WEIGHTING, labels, [v >= gwp_floor for _, v in points])
-        for name, points in (("real", real), ("scenario", reduced))
+        _series(name, dates, values, _SYSTEM_TREND_WEIGHTING, None, labels,
+                [v >= gwp_floor for v in values])
+        for name, values in (("real", real), ("scenario", reduced))
     ]
 
 
@@ -416,9 +445,9 @@ class Run:
 
     @cached_property
     def shares(self):
-        return embodied_share_table(
-            [(r.embodied_ref, (r.gwp_kg.reference, r.adpe_kgsb.reference)) for r in self.impacts[0]]
-        )
+        impacts = self.impacts[0]
+        return embodied_share_table((impacts.embodied_gwp_ref, impacts.embodied_adpe_ref),
+                                    (impacts.gwp_kg_ref, impacts.adpe_kgsb_ref))
 
     @cached_property
     def scenario(self) -> list[Series]:
@@ -450,7 +479,7 @@ class Run:
         if "estimates" in ran:
             counts.update(estimates=len(self.estimates[0]), estimate_skips=len(self.estimates[1]))
         if "impacts" in ran:
-            counts.update(impacts=len(self.impacts[0]), impact_skips=len(self.impacts[1]))
+            counts.update(impacts=len(self.impacts[0].system), impact_skips=len(self.impacts[1]))
         if "shares" in ran:
             counts.update(share_rows_excluded=self.shares[1])
         return counts
@@ -526,10 +555,11 @@ def _point_rows(series: Series):
     name = quote_cell(series.name)
     if series.included is None:
         return (f"{name},point,,{_date_cells(d)},{format_cell(v)}{_BLANK_FIT}"
-                for d, v in series.points)
+                for d, v in zip(series.dates, series.values))
     return (f"{name},point,{quote_cell(label)},{_date_cells(d)},{format_cell(v)},"
             f"{'true' if kept else 'false'}{_BLANK_FIT}"
-            for label, (d, v), kept in zip(series.labels, series.points, series.included))
+            for label, d, v, kept in zip(series.labels, series.dates, series.values,
+                                         series.included))
 
 
 def _trend_row(series: Series) -> str:
@@ -540,10 +570,8 @@ def _trend_row(series: Series) -> str:
                      series.n_excluded])
 
 
-def _interval_cells(interval) -> str:
-    """An interval's min, reference and max cells, joined."""
-    return (f"{format_cell(interval.min)},{format_cell(interval.reference)},"
-            f"{format_cell(interval.max)}")
+_interval_cells = float_cells(3)  # an interval's min, reference and max cells, joined
+_impact_cells = float_cells(len(IMPACT_COLUMNS))
 
 
 def _trends_csv_rows(trends: list[Series]):
@@ -573,21 +601,14 @@ OUTPUTS = {
     "estimates.csv": (
         "estimate", True,
         ("system", "method", "gpu_hours_min", "gpu_hours_ref", "gpu_hours_max"),
-        lambda run: (f"{quote_cell(system.name)},{est.method},{_interval_cells(est.interval)}"
+        lambda run: (f"{quote_cell(system.name)},{est.method},{_interval_cells(*est.interval)}"
                      for system, _, est in run.estimates[0]),
     ),
     "impacts.csv": (
         "impacts", True,
-        ("system", "date", "energy_kwh_min", "energy_kwh_ref", "energy_kwh_max",
-         "gwp_kg_min", "gwp_kg_ref", "gwp_kg_max", "adpe_kgsb_min", "adpe_kgsb_ref",
-         "adpe_kgsb_max", "embodied_gwp_ref", "embodied_adpe_ref", "method"),
-        lambda run: (
-            f"{quote_cell(r.system_name)},{r.publication_date},{_interval_cells(r.energy_kwh)},"
-            f"{_interval_cells(r.gwp_kg)},{_interval_cells(r.adpe_kgsb)},"
-            f"{format_cell(r.embodied_ref.gwp_kg)},{format_cell(r.embodied_ref.adpe_kgsb)},"
-            f"{r.method}"
-            for r in run.impacts[0]
-        ),
+        ("system", "date", *IMPACT_COLUMNS, "method"),
+        lambda run: (f"{quote_cell(name)},{date},{_impact_cells(*values)},{method}"
+                     for name, date, *values, method, _ in zip(*run.impacts[0])),
     ),
     "trends.csv": (
         "trends", True,

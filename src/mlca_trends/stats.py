@@ -3,7 +3,9 @@
 Simple (intercept + slope) least squares is solved in closed form from the
 weighted normal equations; unit weights reduce exactly to OLS. Trend fitting
 works on the natural log of the values, so a fitted slope s per year means a
-growth factor exp(s) and a CAGR of 100*(exp(s)-1) percent.
+growth factor exp(s) and a CAGR of 100*(exp(s)-1) percent. The series of one
+table share their x (SharedX), centred once; the first OLS pass and the
+auxiliary fit of the feasible weights compute only their two coefficients.
 
 Diagnostics:
   * Shapiro-Wilk: a pure-Python port of Royston's AS R94 (Appl. Statist. 44,
@@ -117,30 +119,43 @@ def wls_fit(x, y, weights=None) -> RegressionResult:
         raise StatsError(f"need at least 3 observations, got {n}")
     if min(w) <= 0:
         raise StatsError("weights must be strictly positive")
+    w = None if weights is None else w
     try:
-        return _wls_fit(x, y, w, n, weights is None)
+        return _wls_fit(x, y, w, _centre(x, w))
     except (OverflowError, ValueError) as exc:  # a sum past the float range
         raise StatsError(f"weighted sums overflow a float ({exc})") from exc
 
 
-def _wls_fit(x: array, y: array, w: array, n: int, unit: bool) -> RegressionResult:
-    # Unit weights: each product w_i v_i is v_i, so the sums skip them.
-    weighted = (lambda v: v) if unit else partial(map, mul, w)
-    wsum = fsum(w)
+def _centre(x, w=None) -> tuple:
+    """(weight total, weighted mean, x - mean, weighted sum of (x - mean)^2)
+    of x under the weights w. Unit weights (None): each product w_i v_i is
+    v_i, so the sums skip them."""
+    weighted = (lambda v: v) if w is None else partial(map, mul, w)
+    wsum = float(len(x)) if w is None else fsum(w)
     xbar = fsum(weighted(x)) / wsum
-    ybar = fsum(weighted(y)) / wsum
     xc = [v - xbar for v in x]
-    yc = [v - ybar for v in y]
     sxx = fsum(map(mul, weighted(xc), xc))
     if sxx <= _EPS * max(1.0, sxx + wsum * xbar * xbar):  # the sum is sum w x^2
         raise DegenerateDataError("predictor has no weighted variance")
+    return wsum, xbar, xc, sxx
 
+
+def _wls_fit(x: array, y: array, w: array | None, centred: tuple, full: bool = True):
+    """The fit of y on x under the weights w, given x's _centre under them:
+    a RegressionResult, or (intercept, slope) alone unless full."""
+    wsum, xbar, xc, sxx = centred
+    weighted = (lambda v: v) if w is None else partial(map, mul, w)
+    ybar = fsum(weighted(y)) / wsum
+    yc = [v - ybar for v in y]
     slope = fsum(map(mul, weighted(xc), yc)) / sxx
     intercept = ybar - slope * xbar
+    if not full:
+        return intercept, slope
     residuals = array("d", [v - intercept - slope * t for t, v in zip(x, y)])
     rss = fsum(map(mul, weighted(residuals), residuals))
     tss = fsum(map(mul, weighted(yc), yc))
 
+    n = len(x)
     dof = n - 2
     sigma2 = rss / dof
     se_slope = math.sqrt(sigma2 / sxx)
@@ -152,7 +167,18 @@ def _wls_fit(x: array, y: array, w: array, n: int, unit: bool) -> RegressionResu
 
     return RegressionResult(coefficients=(intercept, slope), standard_errors=(se_intercept, se_slope),
                             r2=r2, adj_r2=adj_r2, f_statistic=f_stat, f_df=(1, dof),
-                            residuals=residuals, weights=w, n=n)
+                            residuals=residuals, weights=array("d", [1.0]) * n if w is None else w,
+                            n=n)
+
+
+class SharedX(array):
+    """A predictor, an array('d') that unit-weight fits share: its _centre is
+    computed once, on first use. trend_stage fits every series of a table
+    over one, the fractional years of the table's dates."""
+
+    @cached_property
+    def centred(self) -> tuple:
+        return _centre(_as_vector(self, "x"))
 
 
 def feasible_weights(x, residuals) -> array:
@@ -161,21 +187,23 @@ def feasible_weights(x, residuals) -> array:
     Regresses log(residual^2) on x and returns weights 1/exp(fitted),
     normalized to mean 1. Squared residuals are floored at machine-epsilon
     scale so exact zeros stay finite. Identical residuals give exactly
-    constant weights.
+    constant weights. x may be a SharedX, whose centring is then reused.
     """
-    x = _as_vector(x, "x")
+    x = x if isinstance(x, SharedX) else SharedX("d", x)
     e = _as_vector(residuals, "residuals")
     if len(x) != len(e):
         raise StatsError(f"length mismatch: x={len(x)} residuals={len(e)}")
+    if len(e) < 3:
+        raise StatsError(f"need at least 3 observations, got {len(e)}")
     e2 = [v * v for v in e]
     floor = _EPS * max(1.0, max(e2, default=0.0))
-    aux = wls_fit(x, [math.log(v if v > floor else floor) for v in e2])
-    a, b = aux.coefficients
+    logs = _as_vector([math.log(v if v > floor else floor) for v in e2], "y")
     try:
+        a, b = _wls_fit(x, logs, None, x.centred, full=False)  # only its coefficients are read
         w = array("d", [math.exp(-(a + b * t)) for t in x])
         mean = fsum(w) / len(w)
-    except OverflowError as exc:
-        raise StatsError("feasible weights overflow a float") from exc
+    except (OverflowError, ValueError) as exc:  # a sum past the float range
+        raise StatsError(f"feasible weights overflow a float ({exc})") from exc
     return array("d", [v / mean for v in w])
 
 
@@ -456,45 +484,52 @@ def diagnostics(x, residuals) -> dict | None:
         return None
 
 
+@cache
 def to_fractional_year(when) -> float:
     """Calendar date (or datetime) -> fractional year via
     (day_of_year - 1)/365.25, memoized per date; a number passes as a float."""
     if isinstance(when, _dt.date):
-        return _date_to_year(when)
+        return when.year + (when.timetuple().tm_yday - 1) / 365.25
     if isinstance(when, (int, float)):
         return float(when)
     raise StatsError(f"cannot interpret {when!r} as a date or year")
 
 
-@cache
-def _date_to_year(when: _dt.date) -> float:
-    return when.year + (when.timetuple().tm_yday - 1) / 365.25
-
-
-def exp_trend(series, weighting: str = "ols") -> TrendFit:
-    """Fit log(value) on fractional year over a (date, value) series.
+def exp_trend(series, weighting: str = "ols", x: SharedX | None = None) -> TrendFit:
+    """Fit log(value) on fractional year over a (date, value) series, or, given
+    x, the fractional years of the series' dates, over the values of series in
+    x's order: the series of one table share their x.
 
     Non-positive values cannot enter the log fit; they are excluded and
     counted in n_excluded. weighting is "ols" or "feasible_wls" (two-stage
-    weights from feasible_weights).
+    weights from feasible_weights); only the final fit builds a
+    RegressionResult.
     """
     if weighting not in ("ols", "feasible_wls"):
         raise StatsError(f"unknown weighting {weighting!r}")
-    points = list(series)
-    dates = [d for d, v in points if v > 0]
-    n_excluded = len(points) - len(dates)
-    if len(dates) < 3:
+    if x is None:
+        points = list(series)
+        series = [v for _, v in points]
+        x = SharedX("d", [to_fractional_year(d) for d, _ in points])
+    y = [v for v in series if v > 0]
+    n_excluded = len(series) - len(y)
+    if len(y) < 3:
         raise StatsError(
-            f"need at least 3 positive values, got {len(dates)} "
+            f"need at least 3 positive values, got {len(y)} "
             f"({n_excluded} non-positive excluded)"
         )
-    years = {d: to_fractional_year(d) for d in set(dates)}  # once per distinct date
-    x = array("d", [years[d] for d in dates])
-    y = array("d", [math.log(v) for _, v in points if v > 0])
+    if n_excluded:
+        x = SharedX("d", [t for t, v in zip(x, series) if v > 0])
+    y = _as_vector(map(math.log, y), "y")
 
-    fit = wls_fit(x, y)
-    if weighting == "feasible_wls":
-        fit = wls_fit(x, y, feasible_weights(x, fit.residuals))
+    try:
+        if weighting == "ols":
+            fit = _wls_fit(x, y, None, x.centred)
+        else:  # the first pass: its coefficients alone, for the residuals
+            a, b = _wls_fit(x, y, None, x.centred, full=False)
+            fit = wls_fit(x, y, feasible_weights(x, [v - a - b * t for t, v in zip(x, y)]))
+    except (OverflowError, ValueError) as exc:  # a sum past the float range
+        raise StatsError(f"weighted sums overflow a float ({exc})") from exc
 
     slope = fit.slope
     try:
@@ -509,7 +544,7 @@ def exp_trend(series, weighting: str = "ols") -> TrendFit:
         cagr_pct=100.0 * (growth - 1.0),
         doubling_time_years=doubling,
         weighting=weighting,
-        n_used=len(dates),
+        n_used=len(y),
         n_excluded=n_excluded,
         regression=fit,
     )

@@ -20,7 +20,9 @@ from mlca_trends.catalog import CARD_COLUMNS, CardReference, parse_card_table
 from mlca_trends.cli import main
 from mlca_trends.estimation import fit_bridge, gpu_hours_direct
 from mlca_trends.lca import (
+    IMPACT_COLUMNS,
     ElectricityMix,
+    ImpactTable,
     LcaConstants,
     ServerProfile,
     amortized_cards,
@@ -271,9 +273,10 @@ def test_criterion_07_embodied_adpe_dominance(profile_table, default_constants):
         )
         est = gpu_hours_direct(sys.training_hours, sys.hardware_quantity)
         ref = CardReference("C", (card,), card)
-        result = system_impact(sys, est, ref, mixes, profile_table, factors,
-                               default_constants)
-        shares.append(100.0 * result.embodied_ref.adpe_kgsb / result.adpe_kgsb.reference)
+        values, _ = system_impact(sys, est, ref, mixes, profile_table, factors,
+                                  default_constants)
+        result = dict(zip(IMPACT_COLUMNS, values, strict=True))
+        shares.append(100.0 * result["embodied_adpe_ref"] / result["adpe_kgsb_ref"])
     assert min(shares) >= 99.0
     _report(
         7,
@@ -330,8 +333,8 @@ def test_criterion_08_scenario_comparison(tmp_path):
     config = _scenario_fixture(tmp_path)
 
     real, scenario = Run(config._replace(scenario_ratio=0.0)).scenario
-    real_pts = sorted((n, v) for n, (_, v) in zip(real.labels, real.points))
-    scen_pts = sorted((n, v) for n, (_, v) in zip(scenario.labels, scenario.points))
+    real_pts = sorted(zip(real.labels, real.values))
+    scen_pts = sorted(zip(scenario.labels, scenario.values))
     assert real_pts == scen_pts
     assert real.n_excluded == scenario.n_excluded
 
@@ -360,7 +363,9 @@ def test_criterion_09_trend_suite():
     )
     assert errors == []
     factors = load_impact_factors(default_data_path("impact_factors.json"))
-    memory = [s for s in trend_stage(cards, factors, [], []) if s.name == "card_memory_size"]
+    no_impacts = ImpactTable(*([] for _ in ImpactTable._fields))
+    memory = [s for s in trend_stage(cards, factors, [], no_impacts)
+              if s.name == "card_memory_size"]
     memory_fit = memory[0].fit
     assert 25.0 <= memory_fit.cagr_pct <= 35.0
     _report(

@@ -32,11 +32,12 @@ from mlca_trends.estimation import GpuHoursEstimate, fit_bridge
 from mlca_trends.inputs import format_cell
 from mlca_trends.intervals import EstimateInterval
 from mlca_trends.lca import (
+    IMPACT_COLUMNS,
     ElectricityMix,
+    ImpactTable,
     ImpactVector,
     LcaConstants,
     ServerProfile,
-    SystemImpact,
     load_constants,
     load_impact_factors,
     load_server_profiles,
@@ -337,7 +338,7 @@ class TestScenarioCompare:
     def test_zero_ratio_series_identical(self, tmp_path):
         pair = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.0)).scenario
         real, scen = (
-            {n: (v, inc) for n, (_, v), inc in zip(s.labels, s.points, s.included)} for s in pair
+            {n: (v, inc) for n, v, inc in zip(s.labels, s.values, s.included)} for s in pair
         )
         assert len(real) == len(scen) > 0
         for name, (value, included) in real.items():
@@ -346,7 +347,7 @@ class TestScenarioCompare:
 
     def test_reduction_lowers_footprints(self, tmp_path):
         pair = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.25)).scenario
-        by_series = {s.name: dict(zip(s.labels, s.points)) for s in pair}
+        by_series = {s.name: dict(zip(s.labels, zip(s.dates, s.values))) for s in pair}
         assert by_series["real"].keys() == by_series["scenario"].keys()
         for name, (date, value) in by_series["real"].items():
             reduced = by_series["scenario"][name][1]
@@ -443,9 +444,11 @@ class TestTrendStage:
     leaves out, and the order of records that share a date."""
 
     factors = load_impact_factors(default_data_path("impact_factors.json"))
+    no_impacts = ImpactTable(*([] for _ in ImpactTable._fields))
 
     def _points(self, cards):
-        return {s.name: s.points for s in pipeline.trend_stage(cards, self.factors, [], [])}
+        return {s.name: list(zip(s.dates, s.values))
+                for s in pipeline.trend_stage(cards, self.factors, [], self.no_impacts)}
 
     def test_card_points_in_date_order(self):
         cards = [
@@ -485,10 +488,11 @@ class TestTrendStage:
                    for name, date, quantity in (("Zeta", day, 3), ("Late", later, 4),
                                                 ("Alpha", day, 1), ("Mid", day, None),
                                                 ("Beta", day, 2))]
-        impacts = [SystemImpact(s.name, s.publication_date,
-                                *[EstimateInterval.degenerate(float(i))] * 3, None, "direct", None)
-                   for i, s in enumerate(systems, 1)]
-        points = {s.name: s.points
+        values = [float(i) for i in range(1, len(systems) + 1)]
+        impacts = ImpactTable([s.name for s in systems], [s.publication_date for s in systems],
+                              *[values] * len(IMPACT_COLUMNS), ["direct"] * len(systems),
+                              [None] * len(systems))
+        points = {s.name: list(zip(s.dates, s.values))
                   for s in pipeline.trend_stage([], self.factors, systems, impacts)}
         assert points["hardware_quantity"] == [(day, 1.0), (day, 2.0), (day, 3.0), (later, 4.0)]
         assert points["system_gwp_kg"] == [(day, 3.0), (day, 5.0), (day, 4.0), (day, 1.0),
@@ -1339,7 +1343,7 @@ class TestRecords:
         run = Run(RunConfig(out=tmp_path / "out", scenario_ratio=0.1,
                             cards_alt=default_data_path("cards_wiki.csv"),
                             overrides=default_data_path("overrides.csv")))
-        (system, _, estimate), impact = run.estimates[0][0], run.impacts[0][0]
+        (system, _, estimate), impacts = run.estimates[0][0], run.impacts[0]
         _, catalog, merge_report, _ = run.cards
         constants = load_constants(default_data_path("lca_constants.json"))
         server_profiles = load_server_profiles(default_data_path("server_profiles.json"))
@@ -1350,7 +1354,7 @@ class TestRecords:
             server_profiles.default,
             next(ref for ref in run.card_refs.values() if ref is not None), system, run.coverage,
             run.coverage.counts, run.bridge[0], run.bridge[0].fit, estimate, estimate.interval,
-            impact, impact.embodied_ref, impact.mix_ref, run.shares[0][0], series, series.fit,
+            impacts, run.factors.board_base, impacts.mix_ref[0], run.shares[0][0], series, series.fit,
         ]
         modules = [importlib.import_module(f"mlca_trends.{info.name}")
                    for info in pkgutil.iter_modules(mlca_trends.__path__)]

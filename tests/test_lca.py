@@ -9,6 +9,7 @@ from mlca_trends.catalog import CardReference, normalize_name, parse_card_table
 from mlca_trends.errors import CannotEstimateError, LcaError, UnknownCountryError
 from mlca_trends.estimation import estimate_gpu_hours, gpu_hours_direct
 from mlca_trends.lca import (
+    IMPACT_COLUMNS,
     ElectricityMix,
     ImpactFactors,
     ImpactVector,
@@ -35,6 +36,12 @@ def system(name="Sys", **kwargs):
     defaults = dict(publication_date=dt.date(2021, 1, 1))
     defaults.update(kwargs)
     return SystemRecord(name=name, **defaults)
+
+
+def impact(*args):
+    """system_impact's floats by their IMPACT_COLUMNS names, and its reference mix."""
+    values, mix = system_impact(*args)
+    return dict(zip(IMPACT_COLUMNS, values, strict=True)), mix
 
 
 class TestImpactVector:
@@ -272,10 +279,10 @@ class TestSystemImpact:
                      hardware_names=("Card X",))
         est = gpu_hours_direct(100.0, 4)
         ref = CardReference("Card X", (oracle_card,), oracle_card)
-        result = system_impact(sys, est, ref, simple_mixes, profile_table,
-                               oracle_factors, default_constants)
-        for interval in (result.energy_kwh, result.gwp_kg, result.adpe_kgsb):
-            assert interval.min == interval.reference == interval.max
+        result, _ = impact(sys, est, ref, simple_mixes, profile_table,
+                           oracle_factors, default_constants)
+        for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
+            assert result[f"{metric}_min"] == result[f"{metric}_ref"] == result[f"{metric}_max"]
 
     def test_per_system_records_hold_no_instance_dict(
         self, oracle_card, oracle_factors, profile_table, simple_mixes, default_constants
@@ -286,7 +293,7 @@ class TestSystemImpact:
         result = system_impact(sys, est, ref, simple_mixes, profile_table,
                                oracle_factors, default_constants)
         # one record or more per system: slots keep a million of them small
-        for record in (sys, est, est.interval, result, result.gwp_kg, result.embodied_ref):
+        for record in (sys, est, est.interval, result, *result):
             assert not hasattr(record, "__dict__"), type(record)
 
     def test_two_country_interval_hand_oracle(
@@ -296,17 +303,17 @@ class TestSystemImpact:
                      countries=("FRA", "POL"), hardware_names=("Card X",))
         est = gpu_hours_direct(100.0, 4)
         ref = CardReference("Card X", (oracle_card,), oracle_card)
-        result = system_impact(sys, est, ref, simple_mixes, profile_table,
-                               oracle_factors, default_constants)
+        result, _ = impact(sys, est, ref, simple_mixes, profile_table,
+                           oracle_factors, default_constants)
         # energy: (400*300 + 400*0.5*150)*1.1/1000 = 165 kWh (both countries)
-        assert result.energy_kwh.reference == pytest.approx(165.0, rel=1e-12)
+        assert result["energy_kwh_ref"] == pytest.approx(165.0, rel=1e-12)
         # embodied gwp: (150 + 0.5*20) * 4 * 100/13140 = 4.870624...
         embodied = 160.0 * 4 * 100.0 / 13140.0
-        assert result.embodied_ref.gwp_kg == pytest.approx(embodied, rel=1e-11)
+        assert result["embodied_gwp_ref"] == pytest.approx(embodied, rel=1e-11)
         # usage gwp: 165*50/1000 = 8.25 (FRA, reference), 82.5 (POL, max)
-        assert result.gwp_kg.reference == pytest.approx(8.25 + embodied, rel=1e-11)
-        assert result.gwp_kg.min == result.gwp_kg.reference  # FRA is cheaper
-        assert result.gwp_kg.max == pytest.approx(82.5 + embodied, rel=1e-11)
+        assert result["gwp_kg_ref"] == pytest.approx(8.25 + embodied, rel=1e-11)
+        assert result["gwp_kg_min"] == result["gwp_kg_ref"]  # FRA is cheaper
+        assert result["gwp_kg_max"] == pytest.approx(82.5 + embodied, rel=1e-11)
 
     def test_world_mix_fallback_when_no_country(
         self, oracle_card, oracle_factors, profile_table, simple_mixes, default_constants
@@ -314,9 +321,9 @@ class TestSystemImpact:
         sys = system(training_hours=100.0, hardware_quantity=4, hardware_names=("Card X",))
         est = gpu_hours_direct(100.0, 4)
         ref = CardReference("Card X", (oracle_card,), oracle_card)
-        result = system_impact(sys, est, ref, simple_mixes, profile_table,
-                               oracle_factors, default_constants)
-        assert result.gwp_kg.reference == pytest.approx(
+        result, _ = impact(sys, est, ref, simple_mixes, profile_table,
+                           oracle_factors, default_constants)
+        assert result["gwp_kg_ref"] == pytest.approx(
             165.0 * 475.0 / 1000.0 + 160.0 * 4 * 100.0 / 13140.0, rel=1e-11
         )
 
@@ -352,10 +359,10 @@ class TestSystemImpact:
                 hardware_quantity=int(rng.integers(1, 10_000)),
             )
             est = estimate_gpu_hours(sys, ref, None, apply_bridge=False)
-            result = system_impact(sys, est, ref, simple_mixes, profile_table,
-                                   oracle_factors, default_constants)
-            for interval in (result.energy_kwh, result.gwp_kg, result.adpe_kgsb):
-                assert interval.min <= interval.reference <= interval.max
+            result, _ = impact(sys, est, ref, simple_mixes, profile_table,
+                               oracle_factors, default_constants)
+            for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
+                assert result[f"{metric}_min"] <= result[f"{metric}_ref"] <= result[f"{metric}_max"]
 
     def test_gwp_monotone_in_carbon_intensity(
         self, oracle_card, oracle_factors, profile_table, default_constants
@@ -367,10 +374,10 @@ class TestSystemImpact:
         previous = -1.0
         for ci in (0.0, 50.0, 200.0, 475.0, 900.0):
             mixes = {"XX": ElectricityMix("XX", ci, 1e-9)}
-            result = system_impact(sys, est, ref, mixes, profile_table,
-                                   oracle_factors, default_constants)
-            assert result.gwp_kg.reference >= previous
-            previous = result.gwp_kg.reference
+            result, _ = impact(sys, est, ref, mixes, profile_table,
+                               oracle_factors, default_constants)
+            assert result["gwp_kg_ref"] >= previous
+            previous = result["gwp_kg_ref"]
 
     def test_scenario_ratio_scales_usage_gwp_only(
         self, oracle_card, oracle_factors, profile_table, simple_mixes, default_constants
@@ -379,16 +386,20 @@ class TestSystemImpact:
                      hardware_names=("Card X",), publication_date=dt.date(2021, 6, 1))
         est = gpu_hours_direct(100.0, 4)
         ref = CardReference("Card X", (oracle_card,), oracle_card)
-        real = system_impact(sys, est, ref, simple_mixes, profile_table,
-                             oracle_factors, default_constants)
-        assert real.mix_ref is simple_mixes["POL"]
-        embodied = real.embodied_ref.gwp_kg
-        usage_real = real.gwp_kg.reference - embodied
-        usage_reduced = scenario_gwp(real, 0.25) - embodied
+        real, mix = impact(sys, est, ref, simple_mixes, profile_table,
+                           oracle_factors, default_constants)
+        assert mix is simple_mixes["POL"]
+        embodied = real["embodied_gwp_ref"]
+
+        def scenario(ratio):
+            return scenario_gwp(real["energy_kwh_ref"], embodied, mix, 2021, ratio)
+
+        usage_real = real["gwp_kg_ref"] - embodied
+        usage_reduced = scenario(0.25) - embodied
         assert usage_reduced == pytest.approx(usage_real * 0.75**2, rel=1e-11)
-        assert scenario_gwp(real, 0.0) == real.gwp_kg.reference
+        assert scenario(0.0) == real["gwp_kg_ref"]
         with pytest.warns(UserWarning, match="explored range"):
-            assert scenario_gwp(real, 1.0) == embodied
+            assert scenario(1.0) == embodied
 
 
 class TestServerProfiles:
@@ -424,12 +435,19 @@ class TestServerProfiles:
         assert {table.select(card) for card in cards} != {table.default}
 
 
+def shares_of(pairs):
+    """embodied_share_table over (embodied, total) pairs of (GWP, ADPe) pairs,
+    passed as its two pairs of columns."""
+    embodied, totals = zip(*pairs)
+    return embodied_share_table(tuple(zip(*embodied)), tuple(zip(*totals)))
+
+
 class TestEmbodiedShares:
     def test_all_embodied_rows(self):
         pairs = [
             (ImpactVector(10.0, 1e-3), ImpactVector(10.0, 1e-3)) for _ in range(5)
         ]
-        summaries, excluded = embodied_share_table(pairs)
+        summaries, excluded = shares_of(pairs)
         for s in summaries:
             assert s.min == s.q1 == s.median == s.mean == s.q3 == s.max == 100.0
         assert excluded == 0
@@ -440,7 +458,7 @@ class TestEmbodiedShares:
             (ImpactVector(20.0, 0.2), ImpactVector(100.0, 1.0)),
             (ImpactVector(30.0, 0.3), ImpactVector(100.0, 1.0)),
         ]
-        summaries, _ = embodied_share_table(pairs)
+        summaries, _ = shares_of(pairs)
         gwp = summaries[0]
         assert (gwp.min, gwp.median, gwp.mean, gwp.max) == (10.0, 20.0, 20.0, 30.0)
         assert gwp.q1 == 15.0 and gwp.q3 == 25.0
@@ -450,14 +468,14 @@ class TestEmbodiedShares:
             (ImpactVector(10.0, 0.0), ImpactVector(100.0, 0.0)),
             (ImpactVector(20.0, 0.1), ImpactVector(100.0, 1.0)),
         ]
-        summaries, excluded = embodied_share_table(pairs)
+        summaries, excluded = shares_of(pairs)
         adpe = summaries[1]
         assert adpe.n == 1 and adpe.excluded == 1
         assert excluded == 1
 
     def test_metric_with_every_total_zero_summarized_as_nan(self):
         pairs = [(ImpactVector(1.0, 0.0), ImpactVector(2.0, 0.0))]
-        (gwp, adpe), excluded = embodied_share_table(pairs)
+        (gwp, adpe), excluded = shares_of(pairs)
         assert (gwp.n, gwp.excluded, gwp.mean) == (1, 0, 50.0)
         assert adpe.metric == "adpe_kgsb" and (adpe.n, adpe.excluded, excluded) == (0, 1, 1)
         assert all(math.isnan(v) for v in (adpe.min, adpe.q1, adpe.median, adpe.mean,
@@ -465,7 +483,7 @@ class TestEmbodiedShares:
 
     def test_embodied_above_total_rejected(self):
         with pytest.raises(LcaError):
-            embodied_share_table([(ImpactVector(2.0, 0), ImpactVector(1.0, 0))])
+            shares_of([(ImpactVector(2.0, 0), ImpactVector(1.0, 0))])
 
 
 def test_adpe_dominance_with_tiny_electricity_intensity(
@@ -486,7 +504,7 @@ def test_adpe_dominance_with_tiny_electricity_intensity(
         )
         est = gpu_hours_direct(sys.training_hours, sys.hardware_quantity)
         ref = CardReference("C", (card,), card)
-        result = system_impact(sys, est, ref, mixes, profile_table,
-                               oracle_factors, default_constants)
-        share = 100.0 * result.embodied_ref.adpe_kgsb / result.adpe_kgsb.reference
+        result, _ = impact(sys, est, ref, mixes, profile_table,
+                           oracle_factors, default_constants)
+        share = 100.0 * result["embodied_adpe_ref"] / result["adpe_kgsb_ref"]
         assert share >= 99.0

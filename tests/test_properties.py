@@ -24,7 +24,7 @@ from mlca_trends.lca import (
     scenario_gwp,
     system_impact,
 )
-from mlca_trends.pipeline import _date_cells, default_data_path
+from mlca_trends.pipeline import _date_cells, default_data_path, impact_stage
 from mlca_trends.stats import exp_trend, to_fractional_year, wls_fit
 from mlca_trends.systems import SystemRecord
 from tests.conftest import make_card
@@ -88,7 +88,17 @@ def impact_cases(draw):
 
 
 def _impact(case, mixes=MIXES):
-    return system_impact(*case, mixes, SERVERS, FACTORS, CONSTANTS)
+    """The one-row ImpactTable of impact_stage over the case."""
+    system, estimate, card_ref = case
+    table, skipped = impact_stage([(system, card_ref, estimate)], mixes, SERVERS, FACTORS, CONSTANTS)
+    assert not skipped
+    return table
+
+
+def _scenario(table, ratio) -> float:
+    """scenario_gwp of the table's one row."""
+    return scenario_gwp(table.energy_kwh_ref[0], table.embodied_gwp_ref[0], table.mix_ref[0],
+                        table.date[0].year, ratio)
 
 
 def _restated(system, estimate, card_ref):
@@ -148,10 +158,11 @@ def test_candidate_envelope_holds_its_reference(values, data):
 @given(impact_cases())
 def test_impact_intervals_ordered_and_embodied_within_total(case):
     impact = _impact(case)
-    for interval in (impact.energy_kwh, impact.gwp_kg, impact.adpe_kgsb):
-        assert interval.min <= interval.reference <= interval.max
-    assert impact.embodied_ref.gwp_kg <= impact.gwp_kg.reference
-    assert impact.embodied_ref.adpe_kgsb <= impact.adpe_kgsb.reference
+    for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb"):
+        low, ref, high = (getattr(impact, f"{metric}_{end}")[0] for end in ("min", "ref", "max"))
+        assert low <= ref <= high
+    assert 0 <= impact.embodied_gwp_ref[0] <= impact.gwp_kg_ref[0]
+    assert 0 <= impact.embodied_adpe_ref[0] <= impact.adpe_kgsb_ref[0]
 
 
 @PROPERTY
@@ -159,9 +170,11 @@ def test_impact_intervals_ordered_and_embodied_within_total(case):
 def test_system_impact_equals_the_scalar_model_bit_for_bit(case):
     impact = _impact(case)
     intervals, embodied_ref = _restated(*case)
-    assert [(i.min, i.reference, i.max)
-            for i in (impact.energy_kwh, impact.gwp_kg, impact.adpe_kgsb)] == intervals
-    assert (impact.embodied_ref.gwp_kg, impact.embodied_ref.adpe_kgsb) == embodied_ref
+    assert [tuple(getattr(impact, f"{metric}_{end}")[0] for end in ("min", "ref", "max"))
+            for metric in ("energy_kwh", "gwp_kg", "adpe_kgsb")] == intervals
+    assert (impact.embodied_gwp_ref[0], impact.embodied_adpe_ref[0]) == embodied_ref
+    assert system_impact(*case, MIXES, SERVERS, FACTORS, CONSTANTS) == (
+        tuple(column[0] for column in impact[2:-2]), impact.mix_ref[0])
 
 
 @PROPERTY
@@ -173,7 +186,7 @@ def test_scenario_gwp_equals_impacts_under_reduced_mixes(case, ratio):
                              mix.adpe_kgsb_per_kwh)
         for code, mix in MIXES.items()
     }
-    assert scenario_gwp(_impact(case), ratio) == _impact(case, reduced).gwp_kg.reference
+    assert _scenario(_impact(case), ratio) == _impact(case, reduced).gwp_kg_ref[0]
 
 
 @PROPERTY
@@ -181,7 +194,7 @@ def test_scenario_gwp_equals_impacts_under_reduced_mixes(case, ratio):
 def test_scenario_footprint_does_not_rise_with_the_ratio(case, r1, r2):
     low, high = sorted((r1, r2))
     impact = _impact(case)
-    assert impact.embodied_ref.gwp_kg <= scenario_gwp(impact, high) <= scenario_gwp(impact, low)
+    assert impact.embodied_gwp_ref[0] <= _scenario(impact, high) <= _scenario(impact, low)
 
 
 # Any date from 1990 to 2100, plus the leap days and leap-year ends that a

@@ -539,3 +539,67 @@ def test_quartiles_are_numpys_linear_percentiles(values):
 
 def test_median_of_nothing_is_nan():
     assert math.isnan(median([]))
+
+
+def _composed_trend(points, weighting: str) -> stats.TrendFit:
+    """exp_trend as the public fits compose it: OLS, then feasible_weights of
+    its residuals and a weighted refit. The oracle of the shared-x kernel."""
+    kept = [(d, v) for d, v in points if v > 0]
+    if len(kept) < 3:
+        raise StatsError("need at least 3 positive values")
+    x = [to_fractional_year(d) for d, _ in kept]
+    y = [math.log(v) for _, v in kept]
+    fit = wls_fit(x, y)
+    if weighting == "feasible_wls":
+        fit = wls_fit(x, y, feasible_weights(x, fit.residuals))
+    try:
+        growth = math.exp(fit.slope)
+    except OverflowError:
+        raise StatsError("growth past the float range") from None
+    return stats.TrendFit(fit.slope, fit.intercept, growth, 100.0 * (growth - 1.0),
+                          math.log(2.0) / fit.slope if fit.slope > 0 else math.nan,
+                          weighting, len(kept), len(points) - len(kept), fit)
+
+
+def _trend_bits(fit) -> str:
+    """Every TrendFit field and the regression's coefficients, SEs, r², F,
+    residuals and weights, as exact reprs (nan equal to nan)."""
+    r = fit.regression
+    return repr((*fit[:-1], r.coefficients, r.standard_errors, r.r2, r.adj_r2, r.f_statistic,
+                 r.f_df, r.n, list(r.residuals), list(r.weights)))
+
+
+@st.composite
+def trend_tables(draw):
+    """A table's dates, drawn from a few days so that they repeat (one day
+    makes them constant), and two value columns over them with non-positive
+    values among the positive ones; 3-point tables included."""
+    days = draw(st.lists(st.integers(0, 4000), min_size=1, max_size=6))
+    dates = draw(st.lists(st.sampled_from([dt.date(2012, 1, 1) + dt.timedelta(days=d)
+                                           for d in days]), min_size=3, max_size=40))
+    value = st.one_of(st.floats(1e-6, 1e9), st.sampled_from([0.0, -1.0, 1.0]))
+    columns = [draw(st.lists(value, min_size=len(dates), max_size=len(dates)))
+               for _ in range(2)]
+    return dates, columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trend_tables(), st.sampled_from(["ols", "feasible_wls"]))
+def test_shared_x_fits_equal_the_composed_fits_bit_for_bit(table, weighting):
+    """Both columns fit over one SharedX, as trend_stage fits a table's
+    series, and each as (date, value) pairs: every result is the composed
+    fit's, and a series the composition cannot fit raises StatsError."""
+    dates, columns = table
+    x = stats.SharedX("d", map(to_fractional_year, dates))
+    for values in columns:
+        points = list(zip(dates, values))
+        try:
+            expected = _trend_bits(_composed_trend(points, weighting))
+        except StatsError:
+            for call in (lambda: exp_trend(values, weighting, x),
+                         lambda: exp_trend(points, weighting)):
+                with pytest.raises(StatsError):
+                    call()
+            continue
+        assert _trend_bits(exp_trend(values, weighting, x)) == expected
+        assert _trend_bits(exp_trend(points, weighting)) == expected
